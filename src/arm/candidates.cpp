@@ -14,7 +14,7 @@ std::vector<Candidate> initial_candidates(std::size_t n_items) {
 }
 
 std::vector<Candidate> derive_candidates(const CandidateSet& correct,
-                                         const CandidateSet& existing) {
+                                         const CandidateTable& existing) {
   std::vector<Candidate> out;
   auto emit = [&](Candidate c) {
     if (!existing.contains(c) &&

@@ -13,9 +13,9 @@
 // Figure 2 measures in scans.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
+#include "arm/candidates.hpp"
 #include "arm/rules.hpp"
 #include "data/transaction.hpp"
 #include "util/check.hpp"
@@ -31,25 +31,33 @@ class IncrementalCounter {
   };
 
   std::size_t db_size() const { return db_.size(); }
-  std::size_t rule_count() const { return rules_.size(); }
+  std::size_t rule_count() const { return table_.size(); }
+
+  /// The registered rules, interned to dense ids (the resource's candidate
+  /// table: the counts below are indexed by its ids).
+  const CandidateTable& candidates() const { return table_; }
 
   void append(data::Transaction t) { db_.push_back(std::move(t)); }
 
-  bool has_rule(const Candidate& c) const { return rules_.contains(c); }
+  bool has_rule(const Candidate& c) const { return table_.contains(c); }
 
   /// Register a candidate; counting starts from the beginning of the local
-  /// database (no-op if already registered).
-  void add_rule(const Candidate& c) { rules_.try_emplace(c); }
+  /// database (no-op if already registered). Returns its id.
+  CandId add_rule(const Candidate& c) {
+    const auto [id, inserted] = table_.intern(c);
+    if (inserted) counts_.emplace_back();
+    return id;
+  }
 
   Counts counts(const Candidate& c) const {
-    const auto it = rules_.find(c);
-    KGRID_CHECK(it != rules_.end(), "counts() for unregistered rule");
-    return it->second;
+    const CandId id = table_.find(c);
+    KGRID_CHECK(id != CandidateTable::kNone, "counts() for unregistered rule");
+    return counts_[id];
   }
 
   /// True iff some registered rule has transactions left to inspect.
   bool backlog() const {
-    for (const auto& [rule, counts] : rules_)
+    for (const Counts& counts : counts_)
       if (counts.processed < db_.size()) return true;
     return false;
   }
@@ -58,27 +66,28 @@ class IncrementalCounter {
   /// the rules whose (sum, count) changed.
   std::vector<Candidate> advance(std::size_t budget) {
     std::vector<Candidate> changed;
-    advance(budget, [&](const Candidate& cand, const Counts&) {
-      changed.push_back(cand);
+    advance(budget, [&](CandId id, const Counts&) {
+      changed.push_back(table_[id]);
     });
     return changed;
   }
 
-  /// Callback variant of advance(): invokes `on_changed(cand, counts)` for
-  /// each rule whose counts moved, in registration-table order — the same
+  /// Callback variant of advance(): invokes `on_changed(id, counts)` for
+  /// each rule whose counts moved, in the table's walk order — the same
   /// rules (and order) the vector variant returns, without materializing
-  /// candidate copies. The callback must not register or remove rules.
+  /// candidate copies. The callback must not register rules.
   template <class F>
   void advance(std::size_t budget, F&& on_changed) {
-    for (auto& [cand, counts] : rules_) {
+    table_.for_each([&](CandId id, const Candidate& cand) {
+      Counts& counts = counts_[id];
       const std::uint64_t before_sum = counts.sum;
       const std::uint64_t before_count = counts.count;
       const std::size_t end = std::min(db_.size(), counts.processed + budget);
       for (; counts.processed < end; ++counts.processed)
         tally(cand, db_[counts.processed], counts);
       if (counts.sum != before_sum || counts.count != before_count)
-        on_changed(cand, const_cast<const Counts&>(counts));
-    }
+        on_changed(id, const_cast<const Counts&>(counts));
+    });
   }
 
  private:
@@ -98,7 +107,8 @@ class IncrementalCounter {
   }
 
   std::vector<data::Transaction> db_;
-  std::unordered_map<Candidate, Counts, CandidateHash> rules_;
+  CandidateTable table_;
+  std::vector<Counts> counts_;  // by CandId
 };
 
 }  // namespace kgrid::arm

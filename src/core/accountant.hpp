@@ -51,9 +51,18 @@ class Accountant {
   // -- Local database management (incorruptible by assumption) --
 
   void append(data::Transaction t) { counter_.append(std::move(t)); }
-  void add_rule(const arm::Candidate& c) { counter_.add_rule(c); }
+  /// Register a rule for counting; returns its id in the resource's
+  /// candidate table (no-op if already registered).
+  arm::CandId add_rule(const arm::Candidate& c) { return counter_.add_rule(c); }
   bool has_rule(const arm::Candidate& c) const { return counter_.has_rule(c); }
   std::size_t db_size() const { return counter_.db_size(); }
+
+  /// The resource's candidate table. The accountant owns it because
+  /// registering a rule for counting is what admits a candidate to C; the
+  /// broker and controller index their per-candidate state by its ids.
+  const arm::CandidateTable& candidates() const {
+    return counter_.candidates();
+  }
 
   /// Budgeted cyclic counting (paper: 100 transactions per step); returns
   /// the rules whose counts changed — the "update notification" the broker
@@ -63,8 +72,8 @@ class Accountant {
   }
 
   /// Callback variant of advance(): same changed rules in the same order,
-  /// but hands out (candidate, counts) references instead of materializing
-  /// a vector of candidate copies — the per-step hot path at fig3 scale.
+  /// but hands out (id, counts) instead of materializing a vector of
+  /// candidate copies — the per-step hot path.
   template <class F>
   void advance(std::size_t budget, F&& on_changed) {
     counter_.advance(budget, std::forward<F>(on_changed));

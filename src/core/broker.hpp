@@ -107,21 +107,15 @@ class Broker {
   /// what a deployment would do when steps are the work unit.
   Effects store_received(net::NodeId from, const SecureRuleMessage& message);
 
-  /// Refresh the ⊥ input for `rule` from the accountant without evaluating
-  /// yet (pairs with flush_dirty()).
-  void refresh_input(const arm::Candidate& rule);
-
-  /// refresh_input() with the reply cipher already minted (the step loop
-  /// builds it from the advance callback's counts, skipping the extra
-  /// registration-table lookup inside Accountant::reply).
-  void refresh_input(const arm::Candidate& rule, hom::Cipher input);
+  /// Install a fresh ⊥ input for rule `id` (an id in the resource's
+  /// candidate table, Accountant::candidates()) without evaluating yet —
+  /// pairs with flush_dirty(). The step loop mints `input` from the
+  /// accountant's advance callback.
+  void refresh_input(arm::CandId id, hom::Cipher input);
 
   /// Evaluate the send conditions of every rule touched since the last
-  /// flush.
-  Effects flush_dirty();
-
-  /// Out-param variant for per-step callers: clears `effects` and refills
-  /// it, so a caller-owned buffer keeps its vector capacity across steps.
+  /// flush. Clears `effects` and refills it, so a caller-owned buffer
+  /// keeps its vector capacity across steps.
   void flush_dirty(Effects& effects);
 
   /// Algorithm 4's periodic block: query rule correctness through SFE,
@@ -149,15 +143,7 @@ class Broker {
     hom::Cipher input;  // latest accountant reply (⊥)
     bool has_input = false;
     bool dirty = false;  // queued in dirty_list_ for the next flush
-    /// Per-neighbour state, indexed by slot-1 (= position in neighbors_),
-    /// so the per-step evaluation walks a dense array instead of paying a
-    /// hash lookup per edge per rule.
-    std::vector<EdgeState> edges;
   };
-
-  /// A votes_ map entry; node-based, so the address is stable for the
-  /// candidate's lifetime and the dirty list can hold bare pointers.
-  using VoteEntry = std::pair<const arm::Candidate, VoteState>;
 
   struct TokenInfo {
     hom::Cipher token;
@@ -165,25 +151,36 @@ class Broker {
     std::size_t our_slot;
   };
 
-  VoteEntry& vote_entry(const arm::Candidate& candidate);
-  VoteState& vote_state(const arm::Candidate& candidate) {
-    return vote_entry(candidate).second;
+  /// The resource's candidate table; the accountant owns it.
+  const arm::CandidateTable& candidates() const {
+    return accountant_->candidates();
   }
-  void mark_dirty(VoteEntry& entry) {
-    if (entry.second.dirty) return;
-    entry.second.dirty = true;
-    dirty_list_.push_back(&entry);
+
+  /// Admit `candidate` to C if it is new: the accountant starts counting
+  /// it, the vote is set up, and its first-contact traffic goes to
+  /// `effects`. Returns the candidate's id either way.
+  arm::CandId adopt(const arm::Candidate& candidate, Effects& effects);
+
+  /// Rule `id`'s edges: one per layout slot, edges(id)[s - 1] for slot s.
+  /// Only the first neighbors_.size() are bound; the rest are spare slots.
+  EdgeState* edges(arm::CandId id) {
+    return edges_.data() + std::size_t{id} * layout_.degree();
+  }
+
+  void mark_dirty(arm::CandId id) {
+    VoteState& state = votes_[id];
+    if (state.dirty) return;
+    state.dirty = true;
+    dirty_list_.push_back(id);
   }
 
   /// Full aggregate for the SFE: ⊥ input plus every neighbour's latest
   /// counter, rerandomized (malicious behaviours corrupt this here).
-  hom::Cipher build_aggregate(const VoteState& state);
+  hom::Cipher build_aggregate(arm::CandId id);
 
-  /// Evaluate the send condition for every non-quarantined edge. `state`
-  /// must be the vote state of `rule` (callers already hold it; passing it
-  /// through skips a repeat hash lookup on the hot path).
-  void evaluate_edges(const arm::Candidate& rule, VoteState& state,
-                      Effects& effects);
+  /// Evaluate the send condition of rule `id` for every non-quarantined
+  /// edge.
+  void evaluate_edges(arm::CandId id, Effects& effects);
 
   net::NodeId id_;
   hom::EvalHandle eval_;
@@ -196,16 +193,18 @@ class Broker {
   BrokerBehavior behavior_ = BrokerBehavior::kHonest;
   Stats stats_;
 
-  /// Store an incoming counter; returns the vote entry if it was accepted
-  /// (sender is a live tree neighbour), nullptr otherwise. Registers
-  /// unknown candidates.
-  VoteEntry* accept_message(net::NodeId from, const SecureRuleMessage& message,
-                            Effects& effects);
+  /// Store an incoming counter; returns the rule's id if it was accepted
+  /// (sender is a live tree neighbour), kNone otherwise. Adopts unknown
+  /// candidates from accepted senders only.
+  arm::CandId accept_message(net::NodeId from,
+                             const SecureRuleMessage& message,
+                             Effects& effects);
 
-  std::unordered_map<arm::Candidate, VoteState, arm::CandidateHash> votes_;
-  arm::CandidateSet known_;
-  std::vector<VoteEntry*> dirty_list_;  // flush order = first-touch order
-  std::unordered_map<arm::Candidate, bool, arm::CandidateHash> outputs_;
+  std::vector<VoteState> votes_;        // by CandId
+  std::vector<EdgeState> edges_;        // by (CandId, slot); see edges()
+  std::vector<arm::CandId> dirty_list_;  // flush order = first-touch order
+  std::vector<bool> outputs_;           // by CandId; latest output answer
+  std::vector<arm::CandId> interim_;    // R̃ as of the latest output pass
   std::unordered_map<net::NodeId, TokenInfo> tokens_;
   std::unordered_set<net::NodeId> quarantined_;
   std::unordered_map<net::NodeId, std::size_t> slot_by_node_;  // 1-based

@@ -4,10 +4,14 @@
 
 namespace kgrid::core {
 
-Controller::RuleState& Controller::rule_state(const arm::Candidate& rule) {
-  auto [it, inserted] = rules_.try_emplace(rule);
-  if (inserted) it->second.trace.assign(layout_.ts_slots(), 0);
-  return it->second;
+Controller::RuleState& Controller::rule_state(arm::CandId id) {
+  if (id >= rules_.size()) rules_.resize(id + 1);
+  RuleState& state = rules_[id];
+  if (state.trace.empty()) {
+    state.trace.assign(layout_.ts_slots(), 0);
+    state.edges.resize(layout_.ts_slots());
+  }
+  return state;
 }
 
 void Controller::validate_view(RuleState& state, const hom::CounterView& view,
@@ -89,24 +93,16 @@ std::vector<hom::CounterView> Controller::decrypt_views(
 }
 
 Controller::SendDecision Controller::sfe_send(
-    const arm::Candidate& rule, net::NodeId w, std::size_t slot_w,
-    const hom::Cipher& agg_all, const hom::Cipher& recv_w,
-    const hom::CounterLayout& w_layout, std::size_t slot_u_at_w) {
-  if (halted_) return {};
-  return sfe_send(rule, w, slot_w, decrypt_view(agg_all), decrypt_view(recv_w),
-                  w_layout, slot_u_at_w);
-}
-
-Controller::SendDecision Controller::sfe_send(
-    const arm::Candidate& rule, net::NodeId w, std::size_t slot_w,
-    const hom::CounterView& view_all, const hom::CounterView& view_w,
-    const hom::CounterLayout& w_layout, std::size_t slot_u_at_w) {
+    arm::CandId id, const arm::Candidate& rule, net::NodeId w,
+    std::size_t slot_w, const hom::CounterView& view_all,
+    const hom::CounterView& view_w, const hom::CounterLayout& w_layout,
+    std::size_t slot_u_at_w) {
   SendDecision decision;
   if (halted_) return decision;
   ++stats_.sfe_sends;
   KGRID_CHECK(slot_w < slot_neighbors_.size() && slot_neighbors_[slot_w] == w,
               "sfe_send slot/neighbour mismatch");
-  RuleState& state = rule_state(rule);
+  RuleState& state = rule_state(id);
   validate_view(state, view_all, decision.detections);
   if (!decision.detections.empty()) return decision;
 
@@ -135,7 +131,7 @@ Controller::SendDecision Controller::sfe_send(
   const std::int64_t out_count = view_all.count - view_w.count;
   const std::int64_t out_num = view_all.num - view_w.num;
 
-  EdgeGate& gate = state.edges[w];
+  EdgeGate& gate = state.edges[slot_w];
 
   bool send = false;
   if (!gate.bootstrapped) {
@@ -166,10 +162,8 @@ Controller::SendDecision Controller::sfe_send(
              (delta_uw < 0 && delta_uw < delta_u);
       ++stats_.gate_reveals;
       if (monitor_ != nullptr)
-        monitor_->on_reveal("r" + std::to_string(id_) + "/send/" +
-                                arm::to_string(rule.rule) + "/" +
-                                std::to_string(w),
-                            view_all.count, view_all.num);
+        monitor_->on_reveal({id_, id, w}, rule.rule, view_all.count,
+                            view_all.num);
     }
     // Algorithm 1 advances the gate baselines at the end of *every* SFE
     // (not only revealed ones). This keeps consecutive reveals >= k apart
@@ -202,20 +196,21 @@ Controller::SendDecision Controller::sfe_send(
   return decision;
 }
 
-Controller::OutputDecision Controller::sfe_output(const arm::Candidate& rule,
+Controller::OutputDecision Controller::sfe_output(arm::CandId id,
+                                                  const arm::Candidate& rule,
                                                   const hom::Cipher& agg_all) {
   if (halted_) {
     OutputDecision decision;
-    decision.correct = rule_state(rule).output.last_answer;
+    decision.correct = rule_state(id).output.last_answer;
     return decision;
   }
-  return sfe_output(rule, decrypt_view(agg_all));
+  return sfe_output(id, rule, decrypt_view(agg_all));
 }
 
 Controller::OutputDecision Controller::sfe_output(
-    const arm::Candidate& rule, const hom::CounterView& view) {
+    arm::CandId id, const arm::Candidate& rule, const hom::CounterView& view) {
   OutputDecision decision;
-  RuleState& state = rule_state(rule);
+  RuleState& state = rule_state(id);
   if (halted_) {
     decision.correct = state.output.last_answer;
     return decision;
@@ -237,8 +232,7 @@ Controller::OutputDecision Controller::sfe_output(
     gate.k2_last = view.num;
     ++stats_.gate_reveals;
     if (monitor_ != nullptr)
-      monitor_->on_reveal("r" + std::to_string(id_) + "/out/" +
-                              arm::to_string(rule.rule),
+      monitor_->on_reveal({id_, id, KTtpMonitor::kOutputGate}, rule.rule,
                           view.count, view.num);
   }
   decision.correct = behavior_ == ControllerBehavior::kLieController

@@ -176,7 +176,7 @@ class SecureResource : public sim::Entity {
     engine.offload(self_entity_, [this]() -> sim::Engine::Apply {
       accountant_.advance(
           config_.count_budget,
-          [this](const arm::Candidate& rule,
+          [this](arm::CandId rule,
                  const arm::IncrementalCounter::Counts& counts) {
             broker_.refresh_input(rule, accountant_.reply_counted(counts));
           });

@@ -135,7 +135,6 @@ class MajorityRuleResource : public sim::Entity {
     auto node = std::make_unique<MajorityNode>(id_, lambda_for(cand), neighbors_);
     pending_bootstrap_.push_back(cand);
     instances_.emplace(cand, std::move(node));
-    known_.insert(cand);
   }
 
   void deliver(sim::Engine& engine, const arm::Candidate& cand,
@@ -168,12 +167,14 @@ class MajorityRuleResource : public sim::Entity {
       };
 
       // 2. Budgeted counting; feed changed counts into the vote instances.
-      for (const auto& cand : counter_.advance(config_.count_budget)) {
-        const auto counts = counter_.counts(cand);
-        collect(cand, instances_.at(cand)->set_input(
-                          {static_cast<std::int64_t>(counts.sum),
-                           static_cast<std::int64_t>(counts.count)}));
-      }
+      counter_.advance(
+          config_.count_budget,
+          [&](arm::CandId id, const arm::IncrementalCounter::Counts& counts) {
+            const arm::Candidate& cand = counter_.candidates()[id];
+            collect(cand, instances_.at(cand)->set_input(
+                              {static_cast<std::int64_t>(counts.sum),
+                               static_cast<std::int64_t>(counts.count)}));
+          });
 
       // 3. First-contact bootstrap for instances created since the last step.
       for (const auto& cand : pending_bootstrap_)
@@ -187,7 +188,8 @@ class MajorityRuleResource : public sim::Entity {
         arm::CandidateSet correct;
         for (const auto& [cand, node] : instances_)
           if (node->decide()) correct.insert(cand);
-        for (const auto& cand : arm::derive_candidates(correct, known_))
+        for (const auto& cand :
+             arm::derive_candidates(correct, counter_.candidates()))
           register_candidate(cand);
       }
 
@@ -213,7 +215,6 @@ class MajorityRuleResource : public sim::Entity {
   std::unordered_map<arm::Candidate, std::unique_ptr<MajorityNode>,
                      arm::CandidateHash>
       instances_;
-  arm::CandidateSet known_;
   std::vector<arm::Candidate> pending_bootstrap_;
 };
 

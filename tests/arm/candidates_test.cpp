@@ -43,7 +43,8 @@ TEST(Candidates, SingletonFrequencyRuleSpawnsNothingByRule2) {
 
 TEST(Candidates, ExistingCandidatesAreNotReemitted) {
   CandidateSet correct = {frequency_candidate({1}), frequency_candidate({2})};
-  CandidateSet existing = {frequency_candidate({1, 2})};
+  CandidateTable existing;
+  existing.intern(frequency_candidate({1, 2}));
   const auto derived = derive_candidates(correct, existing);
   EXPECT_FALSE(has(derived, frequency_candidate({1, 2})));
 }

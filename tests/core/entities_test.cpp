@@ -198,10 +198,10 @@ TEST(Controller, OutputGateHoldsAnswerBelowK) {
   acct.append({1, {1}});
   acct.append({2, {1}});
   const auto rule = frequency_candidate({1});
-  acct.add_rule(rule);
+  const arm::CandId id = acct.add_rule(rule);
   acct.advance(100);
   // Aggregate = just the local input: num = 1 < k.
-  const auto decision = ctl.sfe_output(rule, acct.reply(rule));
+  const auto decision = ctl.sfe_output(id, rule, acct.reply(rule));
   EXPECT_TRUE(decision.detections.empty());
   EXPECT_FALSE(decision.correct);  // data clearly frequent, but gated
 }
@@ -215,17 +215,17 @@ TEST(Controller, HaltsAfterTamperedAggregate) {
                  majority::ratio_from_double(0.8), Rng(15));
   acct.append({0, {1}});
   const auto rule = frequency_candidate({1});
-  acct.add_rule(rule);
+  const arm::CandId id = acct.add_rule(rule);
   acct.advance(100);
   // Double the legitimate reply: share becomes 2*s_⊥ ≠ expected.
   const auto reply = acct.reply(rule);
   const auto doubled = ctx->eval_handle().add(reply, reply);
-  const auto decision = ctl.sfe_output(rule, doubled);
+  const auto decision = ctl.sfe_output(id, rule, doubled);
   ASSERT_FALSE(decision.detections.empty());
   EXPECT_EQ(decision.detections[0].culprit, 0u);
   EXPECT_TRUE(ctl.halted());
   // Once halted the controller refuses further service.
-  const auto after = ctl.sfe_output(rule, acct.reply(rule));
+  const auto after = ctl.sfe_output(id, rule, acct.reply(rule));
   EXPECT_TRUE(after.detections.empty());
   EXPECT_FALSE(after.correct);
 }
@@ -240,7 +240,8 @@ TEST(Controller, HaltedControllerRefusesSends) {
   // Corrupt an SFE to halt controller 0.
   const auto reply = pair.acct0.reply(rule);
   const auto doubled = pair.ctx->eval_handle().add(reply, reply);
-  (void)pair.ctl0.sfe_output(rule, doubled);
+  (void)pair.ctl0.sfe_output(pair.acct0.candidates().find(rule), rule,
+                              doubled);
   ASSERT_TRUE(pair.ctl0.halted());
 
   // Subsequent accountant updates produce no outgoing traffic.
@@ -261,10 +262,10 @@ TEST(Accountant, SpareSlotSharesStillSumToOne) {
                  majority::ratio_from_double(0.8), Rng(45));
   acct.append({0, {1}});
   const auto rule = frequency_candidate({1});
-  acct.add_rule(rule);
+  const arm::CandId id = acct.add_rule(rule);
   acct.advance(100);
   // Aggregate = accountant reply only; slots 1..3 silent.
-  const auto decision = ctl.sfe_output(rule, acct.reply(rule));
+  const auto decision = ctl.sfe_output(id, rule, acct.reply(rule));
   EXPECT_TRUE(decision.detections.empty());
   EXPECT_TRUE(decision.correct);
   EXPECT_FALSE(ctl.halted());
