@@ -55,8 +55,8 @@ int main(int argc, char** argv) {
                             trace.env("workload", [&] {
                               return core::make_grid_env(env_cfg);
                             }),
-                            threads, sim::QueuePolicy::kCalendar,
-                            trace.begin("variant=majority-rule"), shards);
+                            threads, trace.begin("variant=majority-rule"),
+                            shards);
     sink.attach(grid.engine());
     const auto reference = grid.env().reference(thresholds);
     auto recall = [&] { return grid.average_recall(reference); };

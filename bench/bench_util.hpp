@@ -34,25 +34,6 @@ inline int shards_arg(const Cli& cli) {
   return static_cast<int>(cli.get_int("shards", -1));
 }
 
-/// Parse `--queue=wheel|calendar|dary4|dary8|legacy` for a figure bench.
-/// The default is the engine's default policy (kWheel). Every policy
-/// dispatches the identical (time, seq) schedule, so this flag only moves
-/// wall time — CI's record@calendar → replay@wheel gate leans on exactly
-/// that invariance.
-inline sim::QueuePolicy queue_arg(const Cli& cli) {
-  const std::string name = cli.get("queue", "wheel");
-  if (name == "wheel") return sim::QueuePolicy::kWheel;
-  if (name == "calendar") return sim::QueuePolicy::kCalendar;
-  if (name == "dary4") return sim::QueuePolicy::kDary4;
-  if (name == "dary8") return sim::QueuePolicy::kDary8;
-  if (name == "legacy") return sim::QueuePolicy::kLegacy;
-  std::fprintf(stderr,
-               "unknown --queue=%s (want wheel|calendar|dary4|dary8|legacy); "
-               "using wheel\n",
-               name.c_str());
-  return sim::QueuePolicy::kWheel;
-}
-
 /// Glue between a bench binary's Cli and its BENCH_*.json artifact
 /// (docs/METRICS.md). Constructed first thing in main() so the wall clock
 /// covers the whole run; `--json` (default path BENCH_<name>.json) or

@@ -1,25 +1,18 @@
 // Microbenchmarks of the simulation engine's event path — the hot loop
-// under every figure bench once the crypto is offloaded (see ISSUE-5 /
-// EXPERIMENTS.md "Engine event path"). Three workloads, each swept over the
-// queue policies of sim/event_queue.hpp:
+// under every figure bench once the crypto is offloaded (EXPERIMENTS.md
+// "Engine event path"). Three workloads on the engine's one scheduler
+// (sim/event_queue.hpp: messages in the adaptive calendar queue with pooled
+// slots, timers in the hashed hierarchical wheel of sim/timer_wheel.hpp):
 //
 //   * TimerStorm    — N self-rescheduling timers with jittered periods:
 //                     pure scheduler throughput, no payloads.
 //   * MessageMesh   — N entities forwarding SecureRuleMessages (candidate +
 //                     Paillier ciphertext) around a ring: the payload path
-//                     (typed variant + pooled slots + COW cipher bodies vs
-//                     the legacy shared_ptr<any> + value-semantic-cipher
-//                     structure).
+//                     (typed variant + pooled slots + COW cipher bodies).
 //   * OffloadHeavy  — N entities running every step through offload():
 //                     the pending/barrier machinery plus the queue.
 //
-// Suffix-less benches run the adaptive calendar queue + slab event pool;
-// the *Wheel twins run the engine's default kWheel policy (messages in the
-// calendar, timers in the hashed hierarchical wheel — sim/timer_wheel.hpp);
-// the *Dary4/*Dary8 twins run the indexed-heap policies;
-// the *Legacy twins the seed's binary-heap/fat-event structure. items/s
-// counts processed events, so new-vs-legacy ratios read directly off the
-// committed BENCH_engine_micro.json (acceptance: MessageMesh >= 3x).
+// items/s counts processed events (committed in BENCH_engine_micro.json).
 //
 // Besides google-benchmark's own flags, `--json[=PATH]` (kgrid convention,
 // stripped before benchmark::Initialize) writes a kgrid.bench.v1 envelope
@@ -31,11 +24,11 @@
 //
 // `--trace=PATH` (plus optional `--trace_key=KEY`) loads a KGTRACE1 file
 // recorded by a figure bench (e.g. fig3_scalability --trace_record) and
-// registers BM_TraceReplay* benchmarks — one per queue policy — that replay
-// the recorded event schedule through a fresh engine each iteration. Unlike
-// the synthetic workloads above, the replay pushes the *exact* event stream
-// a real protocol run produced, so queue-policy comparisons run on a pinned,
-// PR-invariant workload (docs/BENCHMARKS.md "Trace replay").
+// registers BM_TraceReplay, which replays the recorded event schedule
+// through a fresh engine each iteration. Unlike the synthetic workloads
+// above, the replay pushes the *exact* event stream a real protocol run
+// produced, so engine comparisons run on a workload pinned across commits
+// (docs/BENCHMARKS.md "Trace replay").
 //
 // `--shards=N` restricts the BM_ShardedMesh sweep (docs/SHARDING.md) to one
 // shard count; by default the sweep runs shards in {1, 2, 4, 8} plus a
@@ -96,9 +89,9 @@ class TimerEntity : public sim::Entity {
   std::uint64_t s_;
 };
 
-void timer_storm(benchmark::State& state, sim::QueuePolicy policy) {
+void BM_TimerStorm(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  sim::Engine engine(policy);
+  sim::Engine engine;
   std::vector<std::unique_ptr<TimerEntity>> entities;
   for (std::size_t i = 0; i < n; ++i) {
     const auto id = static_cast<sim::EntityId>(i);
@@ -112,12 +105,12 @@ void timer_storm(benchmark::State& state, sim::QueuePolicy policy) {
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * kEventsPerIter));
 }
+BENCHMARK(BM_TimerStorm)->Arg(1024)->Arg(4096)->Arg(65536);
 
 /// The message the figure benches actually push through the engine: a rule
 /// candidate plus a Paillier ciphertext. Built once (keygen + one
 /// encryption) and copied into every in-flight message — under COW a copy
-/// is a refcount bump; under the legacy policy every boxed message detaches
-/// into a private body, as the seed's value-semantic ciphers did. 1024-bit
+/// is a refcount bump. 1024-bit
 /// keys match SecureGridConfig's default, so the per-hop body size is the
 /// figure benches' real one.
 const core::SecureRuleMessage& mesh_message() {
@@ -168,9 +161,9 @@ void seed_mesh(sim::Engine& engine, std::size_t n,
   }
 }
 
-void message_mesh(benchmark::State& state, sim::QueuePolicy policy) {
+void BM_MessageMesh(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  sim::Engine engine(policy);
+  sim::Engine engine;
   std::vector<std::unique_ptr<MeshEntity>> entities;
   seed_mesh(engine, n, entities);
   for (auto _ : state)
@@ -178,6 +171,7 @@ void message_mesh(benchmark::State& state, sim::QueuePolicy policy) {
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * kEventsPerIter));
 }
+BENCHMARK(BM_MessageMesh)->Arg(1024)->Arg(4096)->Arg(65536);
 
 /// Every step runs through offload(): job body inline (no executor), apply
 /// resolved at the barrier — the figure benches' per-resource crypto shape
@@ -202,9 +196,9 @@ class OffloadEntity : public sim::Entity {
   std::uint64_t s_;
 };
 
-void offload_heavy(benchmark::State& state, sim::QueuePolicy policy) {
+void BM_OffloadHeavy(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  sim::Engine engine(policy);
+  sim::Engine engine;
   std::vector<std::unique_ptr<OffloadEntity>> entities;
   for (std::size_t i = 0; i < n; ++i) {
     const auto id = static_cast<sim::EntityId>(i);
@@ -218,61 +212,7 @@ void offload_heavy(benchmark::State& state, sim::QueuePolicy policy) {
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * kEventsPerIter));
 }
-
-void BM_TimerStormWheel(benchmark::State& state) {
-  timer_storm(state, sim::QueuePolicy::kWheel);
-}
-void BM_TimerStorm(benchmark::State& state) {
-  timer_storm(state, sim::QueuePolicy::kCalendar);
-}
-void BM_TimerStormDary4(benchmark::State& state) {
-  timer_storm(state, sim::QueuePolicy::kDary4);
-}
-void BM_TimerStormDary8(benchmark::State& state) {
-  timer_storm(state, sim::QueuePolicy::kDary8);
-}
-void BM_TimerStormLegacy(benchmark::State& state) {
-  timer_storm(state, sim::QueuePolicy::kLegacy);
-}
-BENCHMARK(BM_TimerStormWheel)->Arg(1024)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_TimerStorm)->Arg(1024)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_TimerStormDary4)->Arg(1024)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_TimerStormDary8)->Arg(1024)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_TimerStormLegacy)->Arg(1024)->Arg(4096)->Arg(65536);
-
-void BM_MessageMeshWheel(benchmark::State& state) {
-  message_mesh(state, sim::QueuePolicy::kWheel);
-}
-void BM_MessageMesh(benchmark::State& state) {
-  message_mesh(state, sim::QueuePolicy::kCalendar);
-}
-void BM_MessageMeshDary4(benchmark::State& state) {
-  message_mesh(state, sim::QueuePolicy::kDary4);
-}
-void BM_MessageMeshDary8(benchmark::State& state) {
-  message_mesh(state, sim::QueuePolicy::kDary8);
-}
-void BM_MessageMeshLegacy(benchmark::State& state) {
-  message_mesh(state, sim::QueuePolicy::kLegacy);
-}
-BENCHMARK(BM_MessageMeshWheel)->Arg(1024)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_MessageMesh)->Arg(1024)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_MessageMeshDary4)->Arg(1024)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_MessageMeshDary8)->Arg(1024)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_MessageMeshLegacy)->Arg(1024)->Arg(4096)->Arg(65536);
-
-void BM_OffloadHeavy(benchmark::State& state) {
-  offload_heavy(state, sim::QueuePolicy::kCalendar);
-}
-void BM_OffloadHeavyDary4(benchmark::State& state) {
-  offload_heavy(state, sim::QueuePolicy::kDary4);
-}
-void BM_OffloadHeavyLegacy(benchmark::State& state) {
-  offload_heavy(state, sim::QueuePolicy::kLegacy);
-}
 BENCHMARK(BM_OffloadHeavy)->Arg(256)->Arg(1024);
-BENCHMARK(BM_OffloadHeavyDary4)->Arg(256)->Arg(1024);
-BENCHMARK(BM_OffloadHeavyLegacy)->Arg(256)->Arg(1024);
 
 /// The sharded mesh's crypto context — separate from mesh_message()'s so
 /// the two workloads stay independently reproducible.
@@ -351,7 +291,7 @@ void sharded_mesh(benchmark::State& state, std::size_t shards) {
   // benchmark uses manual (wall) timing — cpu_time would only meter the
   // driver thread and overstate items/s at every width.
   sim::Executor pool(sim::Executor::hardware_threads());
-  sim::Engine engine(sim::QueuePolicy::kCalendar);
+  sim::Engine engine;
   engine.enable_sharding(shards, 0.5);
   engine.attach_executor(&pool);
   std::vector<std::unique_ptr<ShardMeshEntity>> entities;
@@ -400,14 +340,14 @@ class CaptureReporter : public benchmark::ConsoleReporter {
 sim::Schedule replay_schedule_data;
 std::string replay_schedule_key;
 
-/// One replay per iteration: a fresh engine under `policy`, inert sink
-/// entities, the recorded push/dispatch interleaving. A hash mismatch is a
-/// broken engine (or a corrupted trace), not a slow one — surfaced through
+/// One replay per iteration: a fresh engine, inert sink entities, the
+/// recorded push/dispatch interleaving. A hash mismatch is a broken engine
+/// (or a corrupted trace), not a slow one — surfaced through
 /// google-benchmark's error path so the run fails loudly.
-void trace_replay(benchmark::State& state, sim::QueuePolicy policy) {
+void trace_replay(benchmark::State& state) {
   sim::NullEntity sink;
   for (auto _ : state) {
-    sim::Engine engine(policy);
+    sim::Engine engine;
     const sim::ReplayResult r =
         sim::replay_schedule(engine, sink, replay_schedule_data);
     if (!r.hash_matches) {
@@ -421,7 +361,7 @@ void trace_replay(benchmark::State& state, sim::QueuePolicy policy) {
 }
 
 /// Load `sched:<key>` (or the first sched: entry) from a KGTRACE1 file and
-/// register the BM_TraceReplay* family. Returns false (with a message) when
+/// register BM_TraceReplay. Returns false (with a message) when
 /// the file or entry is missing/corrupt.
 bool register_trace_replay(const std::string& path, const std::string& key) {
   sim::TraceFile file;
@@ -463,31 +403,17 @@ bool register_trace_replay(const std::string& path, const std::string& key) {
               static_cast<unsigned long long>(replay_schedule_data.pushes.size()),
               static_cast<unsigned long long>(replay_schedule_data.dispatch_count),
               static_cast<unsigned long long>(replay_schedule_data.entity_count));
-  benchmark::RegisterBenchmark("BM_TraceReplayWheel", [](benchmark::State& s) {
-    trace_replay(s, sim::QueuePolicy::kWheel);
-  });
-  benchmark::RegisterBenchmark("BM_TraceReplay", [](benchmark::State& s) {
-    trace_replay(s, sim::QueuePolicy::kCalendar);
-  });
-  benchmark::RegisterBenchmark("BM_TraceReplayDary4", [](benchmark::State& s) {
-    trace_replay(s, sim::QueuePolicy::kDary4);
-  });
-  benchmark::RegisterBenchmark("BM_TraceReplayDary8", [](benchmark::State& s) {
-    trace_replay(s, sim::QueuePolicy::kDary8);
-  });
-  benchmark::RegisterBenchmark("BM_TraceReplayLegacy", [](benchmark::State& s) {
-    trace_replay(s, sim::QueuePolicy::kLegacy);
-  });
+  benchmark::RegisterBenchmark("BM_TraceReplay", trace_replay);
   return true;
 }
 
-/// One modest instrumented MessageMesh run under the default policy: the
+/// One modest instrumented MessageMesh run: the
 /// artifact's sim section (queue/event_pool counters, message-type stats)
 /// comes from here, outside the timed region.
 obs::Json instrumented_sim_section() {
   sim::EngineMetrics metrics;
   {
-    sim::Engine engine(sim::QueuePolicy::kCalendar);
+    sim::Engine engine;
     engine.attach_metrics(&metrics);
     std::vector<std::unique_ptr<MeshEntity>> entities;
     seed_mesh(engine, 1024, entities);
@@ -497,7 +423,7 @@ obs::Json instrumented_sim_section() {
   // sim.shard block (docs/METRICS.md) carries real window/mailbox counts.
   {
     sim::Executor pool(sim::Executor::hardware_threads());
-    sim::Engine engine(sim::QueuePolicy::kCalendar);
+    sim::Engine engine;
     engine.enable_sharding(4, 0.5);
     engine.attach_executor(&pool);
     engine.attach_metrics(&metrics);

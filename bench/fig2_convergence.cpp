@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
     cfg.trace = trace.begin(cell_key);
     core::SecureGrid secure(cfg, std::move(env));
     core::BaselineGrid baseline(cfg.env, base, std::move(base_env), threads,
-                                sim::QueuePolicy::kCalendar, nullptr, shards);
+                                nullptr, shards);
     sink.attach(secure.engine());
     sink.attach(baseline.engine());
 

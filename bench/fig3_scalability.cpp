@@ -15,7 +15,7 @@
 // parallel-executor speedup figure (EXPERIMENTS.md).
 //
 //   ./fig3_scalability [--max_resources=512] [--local=1000] [--k=10]
-//                      [--threads=N] [--shards=N] [--queue=POLICY]
+//                      [--threads=N] [--shards=N]
 //                      [--sweep_steps=10] [--paper] [--json[=PATH]]
 //                      [--trace_record=PATH] [--trace_replay=PATH]
 //                      [--trace_schedule=KEY]
@@ -92,7 +92,6 @@ int main(int argc, char** argv) {
   const double lambda = 0.5;
   const std::size_t threads = kgrid::bench::threads_arg(cli);
   const int shards = kgrid::bench::shards_arg(cli);
-  const sim::QueuePolicy queue = kgrid::bench::queue_arg(cli);
   sim::Executor pool(threads);
   kgrid::bench::JsonSink sink(cli, "fig3_scalability");
   sink.arg("max_resources", kgrid::obs::Json(max_resources));
@@ -101,7 +100,6 @@ int main(int argc, char** argv) {
   sink.arg("lambda", kgrid::obs::Json(lambda));
   sink.arg("threads", kgrid::obs::Json(threads));
   sink.arg("shards", kgrid::obs::Json(static_cast<std::int64_t>(shards)));
-  sink.arg("queue", kgrid::obs::Json(cli.get("queue", "wheel")));
   sink.arg("paper", kgrid::obs::Json(paper));
   sink.set_executor(&pool);
   kgrid::bench::TraceSource trace(cli, "fig3_scalability");
@@ -129,7 +127,6 @@ int main(int argc, char** argv) {
       cfg.secure.arrivals_per_step = 1;  // the paper's dynamic trickle
       cfg.executor = &pool;  // one pool shared by every grid in the series
       cfg.shards = shards;
-      cfg.queue_policy = queue;
 
       char cell_key[32];
       std::snprintf(cell_key, sizeof cell_key, "n=%zu/sig=%.2f", n, sig);
@@ -201,7 +198,6 @@ int main(int argc, char** argv) {
       cfg.paillier_bits = 512;
       cfg.threads = t;
       cfg.shards = shards;
-      cfg.queue_policy = queue;
       const std::string cell_key = "sweep/t" + std::to_string(t);
       cfg.trace = trace.begin(cell_key);
       kgrid::obs::Stopwatch wall;

@@ -34,12 +34,6 @@ struct SecureGridConfig {
   /// Share a caller-owned executor instead (benches sweeping many grids
   /// reuse one pool); overrides `threads` when non-null.
   sim::Executor* executor = nullptr;
-  /// Event-queue scheduler policy (sim/event_queue.hpp). Every policy
-  /// delivers the identical event order; kLegacy exists for differential
-  /// testing against the seed's binary-heap structure. The default splits
-  /// the periodic timer population onto a hashed hierarchical timer wheel
-  /// (sim/timer_wheel.hpp) merged against the message calendar queue.
-  sim::QueuePolicy queue_policy = sim::QueuePolicy::kWheel;
   /// Schedule observer (sim/trace.hpp recorder/hasher), attached before any
   /// resource starts — construction already pushes bootstrap events, and a
   /// recorder attached later would miss them. Must outlive the grid's runs.
@@ -87,8 +81,7 @@ class SecureGrid {
   /// Run over a caller-built environment (custom topology or data, e.g. the
   /// single-itemset significance experiments of the paper's Figure 3).
   SecureGrid(const SecureGridConfig& config, GridEnv env)
-      : config_(config), env_(std::move(env)), monitor_(config.secure.k),
-        engine_(config.queue_policy) {
+      : config_(config), env_(std::move(env)), monitor_(config.secure.k) {
     maybe_enable_sharding(
         engine_,
         // Live transport: ignore the KGRID_SHARDS env default (attach_
@@ -290,11 +283,10 @@ class BaselineGrid {
  public:
   BaselineGrid(const GridEnvConfig& env_config,
                const majority::MajorityRuleConfig& config,
-               std::size_t threads = 0,
-               sim::QueuePolicy queue_policy = sim::QueuePolicy::kWheel,
-               sim::EventTap* trace = nullptr, int shards = -1)
+               std::size_t threads = 0, sim::EventTap* trace = nullptr,
+               int shards = -1)
       : BaselineGrid(env_config, config, make_grid_env(env_config), threads,
-                     queue_policy, trace, shards) {}
+                     trace, shards) {}
 
   /// `threads` follows SecureGridConfig::threads semantics (0 = library
   /// default, 1 = inline, N > 1 = worker pool; outcomes thread-invariant).
@@ -302,10 +294,9 @@ class BaselineGrid {
   /// `shards` follows SecureGridConfig::shards.
   BaselineGrid(const GridEnvConfig& env_config,
                const majority::MajorityRuleConfig& config, GridEnv env,
-               std::size_t threads = 0,
-               sim::QueuePolicy queue_policy = sim::QueuePolicy::kWheel,
-               sim::EventTap* trace = nullptr, int shards = -1)
-      : env_(std::move(env)), engine_(queue_policy) {
+               std::size_t threads = 0, sim::EventTap* trace = nullptr,
+               int shards = -1)
+      : env_(std::move(env)) {
     maybe_enable_sharding(engine_, shards, env_.delays);
     if (trace != nullptr) engine_.attach_trace(trace);
     const std::size_t lanes =

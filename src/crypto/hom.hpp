@@ -258,9 +258,9 @@ class Cipher {
   friend bool operator!=(const Cipher& a, const Cipher& b) { return !(a == b); }
 
   /// Force a private copy of the body — the value semantics every Cipher
-  /// had before copy-on-write. Callers that need copy isolation (and the
-  /// legacy queue policy, which reproduces the seed's per-message deep
-  /// copies) use this; everything else shares bodies freely.
+  /// had before copy-on-write. Callers that need copy isolation (the
+  /// sharded engine's cross-lane mailboxes) use this; everything else
+  /// shares bodies freely.
   void detach() {
     if (body_ != nullptr && body_.use_count() > 1)
       body_ = std::allocate_shared<Body>(detail::BlockPoolAlloc<Body>{}, *body_);

@@ -43,7 +43,6 @@ inline Json empty_sim_json() {
   j.set("max_queue_depth", std::uint64_t{0});
   j.set("entities", Json::object());
   Json queue = Json::object();
-  queue.set("kind", "none");
   queue.set("engines", std::uint64_t{0});
   queue.set("pushes", std::uint64_t{0});
   queue.set("pops", std::uint64_t{0});
@@ -179,9 +178,6 @@ inline std::string validate_bench_json(const Json& j) {
     if (has_events) return "sim.queue missing despite events_processed > 0";
   } else {
     if (!queue->is_object()) return "sim.queue is not an object";
-    const Json* kind = queue->find("kind");
-    if (kind == nullptr || !kind->is_string() || kind->as_string().empty())
-      return "sim.queue.kind missing or not a string";
     for (const char* key :
          {"engines", "pushes", "pops", "resizes", "max_depth"}) {
       const Json* v = queue->find(key);
@@ -198,8 +194,8 @@ inline std::string validate_bench_json(const Json& j) {
       return "sim.event_pool missing despite events_processed > 0";
   } else {
     if (!event_pool->is_object()) return "sim.event_pool is not an object";
-    // All-zero pool counters are legitimate (a legacy-policy run bypasses
-    // the pool), so only presence and types are checked here.
+    // All-zero pool counters are legitimate (timers bypass the pool, so a
+    // timer-only run never touches it): only presence and types are checked.
     for (const char* key :
          {"acquired", "released", "overflow", "max_in_use", "slots"}) {
       const Json* v = event_pool->find(key);
@@ -233,10 +229,15 @@ inline std::string validate_bench_json(const Json& j) {
         return std::string("sim.shard.") + key + " missing or not a number";
     }
   }
-  // sim.timer_wheel is optional (absent unless a kWheel-policy engine
-  // flushed — see sim::EngineMetrics::on_wheel_stats), but when present it
-  // must carry the full wheel counter set (docs/METRICS.md).
-  if (const Json* wheel = sim->find("timer_wheel"); wheel != nullptr) {
+  // sim.timer_wheel: every engine flushes its wheel counters next to its
+  // queue counters (sim::EngineMetrics::on_engine_stats), so an artifact
+  // that processed events must carry the full wheel counter set
+  // (docs/METRICS.md); artifacts without engines may omit it.
+  const Json* wheel = sim->find("timer_wheel");
+  if (wheel == nullptr) {
+    if (has_events)
+      return "sim.timer_wheel missing despite events_processed > 0";
+  } else {
     if (!wheel->is_object()) return "sim.timer_wheel is not an object";
     for (const char* key : {"scheduled", "fired", "cascades", "far_events",
                             "rebuilds", "max_pending"}) {

@@ -10,14 +10,12 @@
 // no wall-clock or thread nondeterminism can leak into measurements.
 //
 // Event path (sim/event_queue.hpp, sim/payload.hpp): messages carry a typed
-// Payload variant over the protocol's closed message set, events live in a
-// slab-allocated pool with freelist recycling, and the scheduler is an
-// adaptive calendar queue by default (4/8-ary indexed heaps are kept as
-// comparison policies). The seed's binary-heap /
-// shared_ptr<std::any> structure survives as QueuePolicy::kLegacy for
-// differential testing and as the "before" series of the engine
-// microbenchmarks; every policy delivers the identical (time, seq) order,
-// so protocol traces are policy-invariant.
+// Payload variant over the protocol's closed message set and live in a
+// slab-allocated pool with freelist recycling; the scheduler keeps messages
+// in an adaptive calendar queue and timers in a hashed hierarchical timer
+// wheel (sim/timer_wheel.hpp), merged at pop in exact (time, seq) order.
+// tests/sim/reference_scheduler.hpp replays recorded schedules through a
+// plain binary heap as the differential oracle for that order.
 //
 // Threading model (see docs/ARCHITECTURE.md for the full contract):
 //
@@ -44,7 +42,7 @@
 // Sharded parallel mode (docs/SHARDING.md for the full model and proof
 // sketch): enable_sharding(N, lookahead) partitions entities across N
 // per-shard event queues (lane_of(id) == id % N, each lane a full
-// EventQueue under the engine's QueuePolicy) and advances the shards in
+// EventQueue: calendar queue plus timer wheel) and advances the shards in
 // bounded time windows. Each window starts at the globally earliest
 // pending event time W and runs every shard — in parallel on the attached
 // executor — up to but not including W + lookahead. Because the lookahead
@@ -181,9 +179,7 @@ class Engine {
   /// An offloaded job: heavy computation, run off-loop, returning its Apply.
   using Job = std::function<Apply()>;
 
-  explicit Engine(QueuePolicy queue_policy = QueuePolicy::kWheel)
-      : queue_(queue_policy) {}
-
+  Engine() = default;
   ~Engine() { flush_stats(); }
 
   Engine(const Engine&) = delete;
@@ -271,7 +267,7 @@ class Engine {
     lookahead_ = lookahead;
     lanes_.reserve(shards);
     for (std::size_t i = 0; i < shards; ++i) {
-      lanes_.push_back(std::make_unique<Lane>(queue_.policy(), i));
+      lanes_.push_back(std::make_unique<Lane>(i));
       lanes_.back()->outbox.resize(shards);
     }
   }
@@ -299,7 +295,6 @@ class Engine {
            (transport_ == nullptr || transport_->in_flight() == 0);
   }
 
-  QueuePolicy queue_policy() const { return queue_.policy(); }
   const QueueStats& queue_stats() const { return queue_.stats(); }
   const EventPoolStats& event_pool_stats() const { return queue_.pool_stats(); }
   const TimerWheelStats& timer_wheel_stats() const {
@@ -578,10 +573,7 @@ class Engine {
         lane.flushed_pool = p;
         lane.flushed_wheel = w;
       }
-      metrics_->on_engine_stats(queue_policy_name(queue_.policy()), dq, dp,
-                                !stats_flushed_);
-      if (queue_.policy() == QueuePolicy::kWheel)
-        metrics_->on_wheel_stats(dw);
+      metrics_->on_engine_stats(dq, dp, dw, !stats_flushed_);
       metrics_->on_shard_stats(
           lanes_.size(),
           ShardStats{shard_stats_.windows - flushed_shard_.windows,
@@ -593,27 +585,23 @@ class Engine {
     }
     const QueueStats& q = queue_.stats();
     const EventPoolStats& p = queue_.pool_stats();
+    const TimerWheelStats& w = queue_.wheel_stats();
     QueueStats dq{q.pushes - flushed_queue_.pushes, q.pops - flushed_queue_.pops,
                   q.resizes - flushed_queue_.resizes, q.max_depth};
     EventPoolStats dp{p.acquired - flushed_pool_.acquired,
                       p.released - flushed_pool_.released,
                       p.overflow - flushed_pool_.overflow, p.max_in_use,
                       p.slots};
-    metrics_->on_engine_stats(queue_policy_name(queue_.policy()), dq, dp,
-                              !stats_flushed_);
-    if (queue_.policy() == QueuePolicy::kWheel) {
-      const TimerWheelStats& w = queue_.wheel_stats();
-      metrics_->on_wheel_stats(TimerWheelStats{
-          w.scheduled - flushed_wheel_.scheduled,
-          w.fired - flushed_wheel_.fired,
-          w.cascades - flushed_wheel_.cascades,
-          w.far_events - flushed_wheel_.far_events,
-          w.rebuilds - flushed_wheel_.rebuilds, w.max_pending});
-      flushed_wheel_ = w;
-    }
+    TimerWheelStats dw{w.scheduled - flushed_wheel_.scheduled,
+                       w.fired - flushed_wheel_.fired,
+                       w.cascades - flushed_wheel_.cascades,
+                       w.far_events - flushed_wheel_.far_events,
+                       w.rebuilds - flushed_wheel_.rebuilds, w.max_pending};
+    metrics_->on_engine_stats(dq, dp, dw, !stats_flushed_);
     stats_flushed_ = true;
     flushed_queue_ = q;
     flushed_pool_ = p;
+    flushed_wheel_ = w;
   }
 
  private:
@@ -694,7 +682,7 @@ class Engine {
   };
 
   struct Lane {
-    Lane(QueuePolicy policy, std::size_t idx) : queue(policy), index(idx) {}
+    explicit Lane(std::size_t idx) : index(idx) {}
     EventQueue queue;
     std::size_t index;
     Time now = 0.0;

@@ -1,36 +1,25 @@
-// Event storage for sim::Engine: a slab-allocated event pool plus a
-// pluggable (time, seq) scheduler.
+// Event storage for sim::Engine: a slab-allocated event pool plus the
+// engine's (time, seq) scheduler.
 //
 // The engine's hot loop at grid scale is push/pop on the pending-event set.
-// The seed implementation kept a binary std::priority_queue of ~64-byte
-// events, each carrying a std::shared_ptr<std::any> payload — two heap
-// allocations per message and fat sift copies per level. This header
-// replaces that with
+// This header keeps that set in three pieces:
 //
 //   * EventPool — events live in fixed 1024-slot slabs and are recycled
 //     through a freelist, so a steady-state run allocates no events at all
 //     (the pool only grows while the in-flight high-water mark grows);
 //   * CalendarQueue — a Brown-style calendar queue over 24-byte entries
-//     {time, seq, pool handle, target}, with bucket width adapted to the
-//     observed event rate (the simulator's link-delay distribution). O(1)
-//     amortized push/pop makes it the benchmarked default
-//     (bench/engine_micro.cpp);
-//   * DaryHeap — an indexed d-ary min-heap over the same entries; 4-ary
-//     and 8-ary instantiations are kept as O(log n) comparison points and
-//     as the conservative fallback;
-//   * kWheel — the calendar queue for messages plus a hashed hierarchical
-//     TimerWheel (sim/timer_wheel.hpp) for the timer population, merged at
-//     pop by exact (time, seq) comparison. Timers carry no payload, so
-//     wheel entries bypass the pool entirely (Popped::handle == kNoHandle);
-//   * the legacy binary-heap policy — std::push_heap/pop_heap over fat
-//     events with a per-message shared_ptr payload, reproducing the seed's
-//     cost structure byte for byte. It exists for differential testing
-//     (tests/sim/queue_fuzz_test.cpp) and as the "before" series of
-//     BENCH_engine_micro.json.
+//     {time, seq, pool handle, target} holding the messages, with bucket
+//     width adapted to the observed event rate (the simulator's link-delay
+//     distribution), O(1) amortized push/pop;
+//   * TimerWheel (sim/timer_wheel.hpp) — a hashed hierarchical wheel for
+//     the timer population. Timers carry no payload, so wheel entries
+//     bypass the pool entirely (Popped::handle == kNoHandle).
 //
-// Every policy is a stable total order on (time, seq), so the delivery
-// sequence — and therefore every protocol trace — is identical across
-// policies (the determinism contract of docs/ARCHITECTURE.md).
+// EventQueue merges the two sources at pop by exact (time, seq)
+// comparison, so delivery is a stable total order on (time, seq) — the
+// determinism contract of docs/ARCHITECTURE.md. tests/sim/
+// reference_scheduler.hpp is the differential oracle: a plain binary heap
+// that replays a recorded schedule and must reproduce its hash.
 //
 // QueueStats/EventPoolStats are counted unconditionally (plain integer
 // increments); they surface through EngineMetrics as the artifact's
@@ -38,7 +27,6 @@
 #pragma once
 
 #include <algorithm>
-#include <any>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -55,27 +43,6 @@ using Time = double;
 using EntityId = std::uint32_t;
 
 enum class EventKind : std::uint8_t { kMessage, kTimer };
-
-/// Scheduler selection. All policies deliver the identical (time, seq)
-/// order; they differ only in constant factors.
-enum class QueuePolicy {
-  kWheel,     // calendar queue for messages + timer wheel (default)
-  kCalendar,  // pooled events + adaptive calendar queue
-  kDary4,     // pooled events + 4-ary indexed heap
-  kDary8,     // pooled events + 8-ary indexed heap
-  kLegacy,    // seed-structure binary heap, shared_ptr payloads
-};
-
-inline const char* queue_policy_name(QueuePolicy p) {
-  switch (p) {
-    case QueuePolicy::kWheel: return "wheel";
-    case QueuePolicy::kCalendar: return "calendar";
-    case QueuePolicy::kDary4: return "dary4";
-    case QueuePolicy::kDary8: return "dary8";
-    case QueuePolicy::kLegacy: return "legacy";
-  }
-  return "unknown";
-}
 
 /// One scheduled event, fully materialized (what Engine::step consumes).
 struct Event {
@@ -191,97 +158,11 @@ class EventPool {
   EventPoolStats stats_;
 };
 
-/// Indexed d-ary min-heap on (time, seq). Entries are 24 bytes and carry
-/// the delivery target so the engine's barrier check (is the next event's
-/// target busy?) never touches the pool.
-template <unsigned kArity>
-class DaryHeap {
-  static_assert(kArity >= 2, "heap arity");
-
- public:
-  bool empty() const { return v_.empty(); }
-  std::size_t size() const { return v_.size(); }
-  Time top_time() const { return v_.front().time; }
-  std::uint64_t top_seq() const { return v_.front().seq; }
-  EntityId top_to() const { return v_.front().to; }
-
-  /// Returns true when the backing array grew (for QueueStats::resizes).
-  bool push(Time time, std::uint64_t seq, EventPool::Handle handle,
-            EntityId to) {
-    const bool grew = v_.size() == v_.capacity();
-    v_.push_back(Entry{time, seq, handle, to});
-    sift_up(v_.size() - 1);
-    return grew;
-  }
-
-  EventPool::Handle pop() {
-    const EventPool::Handle out = v_.front().handle;
-    const Entry last = v_.back();
-    v_.pop_back();
-    if (!v_.empty()) sift_bounce(last);
-    return out;
-  }
-
- private:
-  struct Entry {
-    Time time;
-    std::uint64_t seq;
-    EventPool::Handle handle;
-    EntityId to;
-  };
-
-  /// Lexicographic (time, seq). Deliberately branchy: the tie-break arm is
-  /// rare enough to predict well, and two branchless variants measured
-  /// slower on the pop path (a cmov chain serializes the child scan on the
-  /// compare's data dependency, and a packed 128-bit bit_cast key with a
-  /// cmov tournament over full child groups lost ~40% — the wide compares
-  /// and index selects cost more than the mispredicts they remove).
-  static bool before(const Entry& a, const Entry& b) {
-    return a.time != b.time ? a.time < b.time : a.seq < b.seq;
-  }
-
-  void sift_up(std::size_t i) {
-    const Entry e = v_[i];
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / kArity;
-      if (!before(e, v_[parent])) break;
-      v_[i] = v_[parent];
-      i = parent;
-    }
-    v_[i] = e;
-  }
-
-  /// Pop-path reheapify, bottom-bounce variant (libstdc++'s __adjust_heap
-  /// trick): sink the root hole to a leaf choosing the best child
-  /// unconditionally, then bubble the displaced tail entry back up. The
-  /// tail entry nearly always belongs near the leaves, so skipping the
-  /// per-level early-exit compare is a net win.
-  void sift_bounce(const Entry& e) {
-    const std::size_t n = v_.size();
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t first = i * kArity + 1;
-      if (first >= n) break;
-      const std::size_t last = std::min(first + kArity, n);
-      std::size_t best = first;
-      for (std::size_t c = first + 1; c < last; ++c)
-        if (before(v_[c], v_[best])) best = c;
-      v_[i] = v_[best];
-      i = best;
-    }
-    v_[i] = e;
-    sift_up(i);
-  }
-
-  std::vector<Entry> v_;
-};
-
 /// Brown-style calendar queue (R. Brown, CACM 1988): a ring of time buckets
 /// of width `w`, where bucket `floor(t / w)` holds the events of that time
 /// slice. Pushes are an index computation plus a push_back; pops drain the
 /// current bucket (sorted on first arrival, min at the back) and advance the
-/// cursor. Both are O(1) amortized when `w` tracks the event rate, which is
-/// why this is the benchmarked default over the O(log n) heaps.
+/// cursor. Both are O(1) amortized when `w` tracks the event rate.
 ///
 /// Three departures from the textbook structure keep the engine's exact
 /// (time, seq) total order and unbounded time horizon:
@@ -487,48 +368,21 @@ class CalendarQueue {
   bool hist_full_ = false;
 };
 
-/// The engine's pending-event set under the selected policy.
+/// The engine's pending-event set: messages in the calendar queue (payloads
+/// in pool slots), timers in the timer wheel, merged at pop.
 class EventQueue {
  public:
-  explicit EventQueue(QueuePolicy policy) : policy_(policy) {}
-
-  QueuePolicy policy() const { return policy_; }
   bool empty() const { return size() == 0; }
-
-  std::size_t size() const {
-    switch (policy_) {
-      case QueuePolicy::kWheel: return cal_.size() + wheel_.size();
-      case QueuePolicy::kCalendar: return cal_.size();
-      case QueuePolicy::kDary4: return d4_.size();
-      case QueuePolicy::kDary8: return d8_.size();
-      case QueuePolicy::kLegacy: return legacy_.size();
-    }
-    return 0;
-  }
+  std::size_t size() const { return cal_.size() + wheel_.size(); }
 
   /// Timestamp / target of the minimum-(time, seq) event. Precondition:
   /// !empty(). The engine's barrier triggers are pure functions of these
-  /// two views, so they are identical across policies.
+  /// two views.
   Time top_time() const {
-    switch (policy_) {
-      case QueuePolicy::kWheel:
-        return wheel_first() ? wheel_.top_time() : cal_.top_time();
-      case QueuePolicy::kCalendar: return cal_.top_time();
-      case QueuePolicy::kDary4: return d4_.top_time();
-      case QueuePolicy::kDary8: return d8_.top_time();
-      default: return legacy_.front().time;
-    }
+    return wheel_first() ? wheel_.top_time() : cal_.top_time();
   }
-
   EntityId top_to() const {
-    switch (policy_) {
-      case QueuePolicy::kWheel:
-        return wheel_first() ? wheel_.top_to() : cal_.top_to();
-      case QueuePolicy::kCalendar: return cal_.top_to();
-      case QueuePolicy::kDary4: return d4_.top_to();
-      case QueuePolicy::kDary8: return d8_.top_to();
-      default: return legacy_.front().to;
-    }
+    return wheel_first() ? wheel_.top_to() : cal_.top_to();
   }
 
   /// `payload` may be a Payload or any message type Payload accepts; it is
@@ -538,23 +392,7 @@ class EventQueue {
             EventKind kind, std::uint64_t timer_id, P&& payload,
             Time sent_at) {
     ++stats_.pushes;
-    if (policy_ == QueuePolicy::kLegacy) {
-      if (legacy_.size() == legacy_.capacity()) ++stats_.resizes;
-      // Seed structure verbatim: the caller's message was type-erased into a
-      // std::any (one heap block for anything past the SBO) and that any was
-      // wrapped in a shared_ptr (a second block for the control+object pair);
-      // ciphertext bodies had value semantics, so every boxed message owned
-      // a private copy (detach() undoes the COW sharing).
-      std::shared_ptr<std::any> boxed;
-      if (kind == EventKind::kMessage) {
-        boxed = std::make_shared<std::any>(std::in_place_type<Payload>,
-                                           std::forward<P>(payload));
-        std::any_cast<Payload>(boxed.get())->detach();
-      }
-      legacy_.push_back(LegacyEvent{time, seq, from, to, kind, timer_id,
-                                    std::move(boxed), sent_at});
-      std::push_heap(legacy_.begin(), legacy_.end(), LegacyAfter{});
-    } else if (policy_ == QueuePolicy::kWheel && kind == EventKind::kTimer) {
+    if (kind == EventKind::kTimer) {
       // Timers carry no payload: the wheel stores the full event inline and
       // no pool slot is consumed.
       wheel_.push(TimerEntry{time, sent_at, seq, timer_id, from, to});
@@ -569,13 +407,7 @@ class EventQueue {
       slot.to = to;
       slot.kind = kind;
       slot.payload.assign(std::forward<P>(payload));
-      bool grew = false;
-      switch (policy_) {
-        case QueuePolicy::kDary4: grew = d4_.push(time, seq, h, to); break;
-        case QueuePolicy::kDary8: grew = d8_.push(time, seq, h, to); break;
-        default: grew = cal_.push(time, seq, h, to); break;
-      }
-      if (grew) ++stats_.resizes;
+      if (cal_.push(time, seq, h, to)) ++stats_.resizes;
     }
     if (size() > stats_.max_depth) stats_.max_depth = size();
   }
@@ -586,22 +418,13 @@ class EventQueue {
   /// their slots. Semantics are identical to element-wise push().
   void push_batch(std::span<Event> events) {
     if (events.empty()) return;
-    if (policy_ == QueuePolicy::kLegacy) {
-      for (Event& e : events)
-        push(e.time, e.seq, e.from, e.to, e.kind, e.timer_id,
-             std::move(e.payload), e.sent_at);
-      return;
-    }
-    std::size_t pooled = events.size();
-    if (policy_ == QueuePolicy::kWheel) {
-      pooled = 0;
-      for (const Event& e : events) pooled += e.kind != EventKind::kTimer;
-    }
+    std::size_t pooled = 0;
+    for (const Event& e : events) pooled += e.kind != EventKind::kTimer;
     pool_.acquire_run(pooled, run_scratch_);
     stats_.pushes += events.size();
     std::size_t next = 0;
     for (Event& e : events) {
-      if (policy_ == QueuePolicy::kWheel && e.kind == EventKind::kTimer) {
+      if (e.kind == EventKind::kTimer) {
         wheel_.push(
             TimerEntry{e.time, e.sent_at, e.seq, e.timer_id, e.from, e.to});
         continue;
@@ -616,28 +439,19 @@ class EventQueue {
       slot.to = e.to;
       slot.kind = e.kind;
       slot.payload = std::move(e.payload);
-      bool grew = false;
-      switch (policy_) {
-        case QueuePolicy::kDary4: grew = d4_.push(e.time, e.seq, h, e.to); break;
-        case QueuePolicy::kDary8: grew = d8_.push(e.time, e.seq, h, e.to); break;
-        default: grew = cal_.push(e.time, e.seq, h, e.to); break;
-      }
-      if (grew) ++stats_.resizes;
+      if (cal_.push(e.time, e.seq, h, e.to)) ++stats_.resizes;
     }
     if (size() > stats_.max_depth) stats_.max_depth = size();
   }
 
-  /// Pre-size the event arena (Engine::reserve_events). No-op under
-  /// kLegacy, whose events are individually heap-boxed by design.
-  void reserve_pool(std::size_t slots) {
-    if (policy_ != QueuePolicy::kLegacy) pool_.reserve(slots);
-  }
+  /// Pre-size the event arena (Engine::reserve_events).
+  void reserve_pool(std::size_t slots) { pool_.reserve(slots); }
 
   /// The minimum event, popped from the scheduler but not yet recycled:
   /// small metadata copies plus a pointer to the payload, which stays in
-  /// its pool slot (or the legacy staging area) until finish(). This is the
-  /// zero-copy delivery path — the message body is never moved between the
-  /// sender's push and the receiving handler.
+  /// its pool slot until finish(). This is the zero-copy delivery path —
+  /// the message body is never moved between the sender's push and the
+  /// receiving handler.
   struct Popped {
     Time time;
     Time sent_at;
@@ -646,8 +460,8 @@ class EventQueue {
     EntityId from;
     EntityId to;
     EventKind kind;
-    EventPool::Handle handle;  // pool slot; unused under kLegacy
-    Payload* payload;          // null for timers under kLegacy
+    EventPool::Handle handle;  // pool slot; kNoHandle for timers
+    Payload* payload;          // null for timers
   };
 
   /// Remove the minimum-(time, seq) event. Precondition: !empty(). The
@@ -657,34 +471,13 @@ class EventQueue {
   /// the in-flight slot is not on the freelist, so the payload stays put.
   Popped pop() {
     ++stats_.pops;
-    if (policy_ == QueuePolicy::kLegacy) {
-      // The seed read `Event ev = queue_.top()` before popping — a full
-      // fat-event copy (shared_ptr refcount pair included), reproduced here
-      // as copy-then-pop rather than move-from-back.
-      staging_ = legacy_.front();
-      std::pop_heap(legacy_.begin(), legacy_.end(), LegacyAfter{});
-      legacy_.pop_back();
-      // Seed delivery path: unwrap the shared any (any_cast's typeid check
-      // included) before the handler sees the message.
-      Payload* payload = staging_.payload == nullptr
-                             ? nullptr
-                             : std::any_cast<Payload>(staging_.payload.get());
-      return {staging_.time, staging_.sent_at,  staging_.seq,
-              staging_.timer_id, staging_.from, staging_.to,
-              staging_.kind,     0,             payload};
-    }
-    if (policy_ == QueuePolicy::kWheel && wheel_first()) {
+    if (wheel_first()) {
       const TimerEntry e = wheel_.pop();
       return {e.time, e.sent_at,         e.seq,
               e.timer_id, e.from,        e.to,
               EventKind::kTimer, EventPool::kNoHandle, nullptr};
     }
-    EventPool::Handle h = 0;
-    switch (policy_) {
-      case QueuePolicy::kDary4: h = d4_.pop(); break;
-      case QueuePolicy::kDary8: h = d8_.pop(); break;
-      default: h = cal_.pop(); break;
-    }
+    const EventPool::Handle h = cal_.pop();
     Event& slot = pool_[h];
     return {slot.time, slot.sent_at, slot.seq, slot.timer_id, slot.from,
             slot.to,   slot.kind,    h,        &slot.payload};
@@ -692,10 +485,7 @@ class EventQueue {
 
   /// Recycle the slot behind a pop() once its handler has returned.
   void finish(const Popped& ev) {
-    if (policy_ == QueuePolicy::kLegacy)
-      staging_.payload.reset();  // the seed freed the event at end of step
-    else if (ev.handle != EventPool::kNoHandle)
-      pool_.release(ev.handle);
+    if (ev.handle != EventPool::kNoHandle) pool_.release(ev.handle);
   }
 
   const QueueStats& stats() const { return stats_; }
@@ -703,31 +493,9 @@ class EventQueue {
   const TimerWheelStats& wheel_stats() const { return wheel_.stats(); }
 
  private:
-  /// The seed engine's event representation: fat struct, heap-allocated
-  /// shared std::any payload per message, binary heap (std::priority_queue
-  /// is push_heap/pop_heap over a vector — spelled out here so capacity
-  /// growth is observable for QueueStats::resizes).
-  struct LegacyEvent {
-    Time time;
-    std::uint64_t seq;
-    EntityId from;
-    EntityId to;
-    EventKind kind;
-    std::uint64_t timer_id;
-    std::shared_ptr<std::any> payload;
-    Time sent_at;
-  };
-
-  struct LegacyAfter {
-    bool operator()(const LegacyEvent& a, const LegacyEvent& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
-  /// Two-source merge under kWheel: does the wheel hold the global minimum?
+  /// Two-source merge: does the wheel hold the global minimum?
   /// Precondition: !empty(). Exact (time, seq) comparison, so the merged
-  /// order is the same total order every other policy delivers.
+  /// order is the single (time, seq) total order.
   bool wheel_first() const {
     if (wheel_.empty()) return false;
     if (cal_.empty()) return true;
@@ -737,14 +505,9 @@ class EventQueue {
     return wheel_.top_seq() < cal_.top_seq();
   }
 
-  QueuePolicy policy_;
   EventPool pool_;
   CalendarQueue cal_;
-  DaryHeap<4> d4_;
-  DaryHeap<8> d8_;
   TimerWheel wheel_;
-  std::vector<LegacyEvent> legacy_;
-  LegacyEvent staging_;  // the in-flight legacy event between pop and finish
   std::vector<EventPool::Handle> run_scratch_;  // push_batch arena handles
   QueueStats stats_;
 };

@@ -69,19 +69,14 @@ class EngineMetrics {
     if (depth > max_queue_depth_) max_queue_depth_ = depth;
   }
 
-  /// Engine::flush_stats() pushes the queue/event-pool counters here as
-  /// deltas since the previous flush (so repeated flushes never double
-  /// count); maxima merge by max. `first_flush` is true the first time a
-  /// given engine reports, which is when it joins the `engines` count.
-  void on_engine_stats(std::string_view queue_kind, const QueueStats& queue,
-                       const EventPoolStats& pool, bool first_flush) {
-    if (first_flush) {
-      ++queue_engines_;
-      if (queue_kind_.empty())
-        queue_kind_ = queue_kind;
-      else if (queue_kind_ != queue_kind)
-        queue_kind_ = "mixed";
-    }
+  /// Engine::flush_stats() pushes the queue/event-pool/timer-wheel counters
+  /// here as deltas since the previous flush (so repeated flushes never
+  /// double count); maxima merge by max. `first_flush` is true the first
+  /// time a given engine reports, which is when it joins the `engines`
+  /// count.
+  void on_engine_stats(const QueueStats& queue, const EventPoolStats& pool,
+                       const TimerWheelStats& wheel, bool first_flush) {
+    if (first_flush) ++queue_engines_;
     queue_.pushes += queue.pushes;
     queue_.pops += queue.pops;
     queue_.resizes += queue.resizes;
@@ -91,6 +86,12 @@ class EngineMetrics {
     pool_.overflow += pool.overflow;
     pool_.max_in_use = std::max(pool_.max_in_use, pool.max_in_use);
     pool_.slots = std::max(pool_.slots, pool.slots);
+    wheel_.scheduled += wheel.scheduled;
+    wheel_.fired += wheel.fired;
+    wheel_.cascades += wheel.cascades;
+    wheel_.far_events += wheel.far_events;
+    wheel_.rebuilds += wheel.rebuilds;
+    wheel_.max_pending = std::max(wheel_.max_pending, wheel.max_pending);
   }
 
   /// Engine::flush_stats() pushes sharded-mode counters here the same way:
@@ -104,19 +105,6 @@ class EngineMetrics {
     shard_.max_skew = std::max(shard_.max_skew, delta.max_skew);
   }
 
-  /// Engine::flush_stats() pushes timer-wheel counters here (deltas, maxima
-  /// by max) for engines running QueuePolicy::kWheel. Zero calls leave the
-  /// sim.timer_wheel JSON section absent entirely.
-  void on_wheel_stats(const TimerWheelStats& delta) {
-    wheel_reported_ = true;
-    wheel_.scheduled += delta.scheduled;
-    wheel_.fired += delta.fired;
-    wheel_.cascades += delta.cascades;
-    wheel_.far_events += delta.far_events;
-    wheel_.rebuilds += delta.rebuilds;
-    wheel_.max_pending = std::max(wheel_.max_pending, delta.max_pending);
-  }
-
   void advance_time(double dt) { sim_time_ += dt; }
 
   // -- Read side --
@@ -126,7 +114,6 @@ class EngineMetrics {
   std::uint64_t max_queue_depth() const { return max_queue_depth_; }
   const QueueStats& queue_stats() const { return queue_; }
   const EventPoolStats& event_pool_stats() const { return pool_; }
-  const std::string& queue_kind() const { return queue_kind_; }
   std::uint64_t shards() const { return shards_; }
   const ShardStats& shard_stats() const { return shard_; }
   const TimerWheelStats& timer_wheel_stats() const { return wheel_; }
@@ -173,7 +160,6 @@ class EngineMetrics {
     }
     j.set("entities", std::move(entities));
     obs::Json queue = obs::Json::object();
-    queue.set("kind", queue_kind_.empty() ? std::string("none") : queue_kind_);
     queue.set("engines", queue_engines_);
     queue.set("pushes", queue_.pushes);
     queue.set("pops", queue_.pops);
@@ -195,7 +181,7 @@ class EngineMetrics {
       shard.set("max_skew", shard_.max_skew);
       j.set("shard", std::move(shard));
     }
-    if (wheel_reported_) {
+    if (queue_engines_ > 0) {
       obs::Json wheel = obs::Json::object();
       wheel.set("scheduled", wheel_.scheduled);
       wheel.set("fired", wheel_.fired);
@@ -279,10 +265,8 @@ class EngineMetrics {
   QueueStats queue_;
   EventPoolStats pool_;
   std::uint64_t queue_engines_ = 0;
-  std::string queue_kind_;
   std::uint64_t shards_ = 0;  // 0: no sharded engine ever reported
   ShardStats shard_;
-  bool wheel_reported_ = false;  // any kWheel engine ever flushed
   TimerWheelStats wheel_;
 };
 

@@ -95,9 +95,9 @@ class Payload {
   }
 
   /// Re-materialize value semantics for any copy-on-write message body
-  /// (today only a SecureRuleMessage's ciphertext). The legacy queue policy
-  /// calls this per boxed message to reproduce the seed engine's deep-copy
-  /// cost; the pooled policies never do.
+  /// (today only a SecureRuleMessage's ciphertext). The sharded engine
+  /// calls this on every cross-lane mailbox entry, so no cipher body is
+  /// shared between shards (docs/SHARDING.md "Mailbox lifecycle").
   void detach() {
     if (auto* msg = std::get_if<core::SecureRuleMessage>(&v_))
       msg->counter.detach();

@@ -23,8 +23,7 @@
 // Determinism: the wheel is only a *placement* structure. Pops compare
 // exact (time, seq) keys — the cursor slot is kept sorted ascending and
 // drained through an index (`head_`) rather than erased, so the dispatch
-// order is bit-identical to every other QueuePolicy regardless of the tick
-// width. The ascending layout matters for throughput, not just order: a
+// order is the exact (time, seq) order regardless of the tick width. The ascending layout matters for throughput, not just order: a
 // step storm re-arms thousands of same-period timers in one burst, all
 // landing in one slot in increasing (time, seq) order, and ascending order
 // turns each of those sorted-inserts into an O(1) append (a descending

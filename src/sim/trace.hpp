@@ -11,8 +11,8 @@
 //
 // Correctness is checked by hashing the dispatch order: ScheduleHasher folds
 // every dispatched event's coordinates into an FNV-1a hash, and a replay must
-// reproduce the recorded hash bit for bit (at any thread count or queue
-// policy — the determinism contract, docs/ARCHITECTURE.md). The hash is the
+// reproduce the recorded hash bit for bit (at any thread or shard count —
+// the determinism contract, docs/ARCHITECTURE.md). The hash is the
 // same "golden trace" idea as tests/core/golden_fingerprint.hpp, applied to
 // the engine's schedule instead of the protocol's output.
 //

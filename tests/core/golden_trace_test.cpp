@@ -5,6 +5,7 @@
 // change here means the executor refactor altered the reference schedule.
 #include <gtest/gtest.h>
 
+#include "../sim/reference_scheduler.hpp"
 #include "golden_fingerprint.hpp"
 
 namespace kgrid {
@@ -52,83 +53,75 @@ core::SecureGridConfig event_driven_config() {
   return cfg;
 }
 
-constexpr sim::QueuePolicy kAllPolicies[] = {
-    sim::QueuePolicy::kCalendar, sim::QueuePolicy::kDary4,
-    sim::QueuePolicy::kDary8, sim::QueuePolicy::kLegacy};
+/// The reference binary heap (tests/sim/reference_scheduler.hpp) must
+/// replay a recorded grid schedule to the recorded hash and count.
+sim::ReferenceRun expect_reference_reproduces(const sim::Schedule& s) {
+  const sim::ReferenceRun ref = sim::run_reference_scheduler(s);
+  EXPECT_GT(s.dispatch_count, 0u);
+  EXPECT_EQ(ref.hash, s.dispatch_hash);
+  EXPECT_EQ(ref.dispatched, s.dispatch_count);
+  return ref;
+}
 
-// The determinism contract across the queue/pool rebuild: every scheduler
-// policy, at every thread count, reproduces the frozen pre-executor traces
-// bit for bit. (kLegacy reproduces the seed's cost structure; the calendar
-// and d-ary policies must deliver the identical (time, seq) order on top of
-// the slab pool.)
-TEST(GoldenTrace, QueuePolicyAndThreadCountLeaveTracesUnchanged) {
-  for (const sim::QueuePolicy policy : kAllPolicies) {
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      core::SecureGridConfig cfg = event_driven_config();
-      cfg.threads = threads;
-      cfg.queue_policy = policy;
-      core::SecureGrid grid(cfg);
-      grid.run_steps(25);
-      EXPECT_EQ(test::fnv1a(test::grid_fingerprint(grid)),
-                0x8275f31088db4279ull)
-          << "policy=" << sim::queue_policy_name(policy)
-          << " threads=" << threads;
-    }
+// The determinism contract across the executor: every thread count
+// reproduces the frozen pre-executor traces bit for bit, and the reference
+// heap agrees with the engine's scheduler on the recorded schedule.
+TEST(GoldenTrace, ThreadCountLeavesTracesUnchanged) {
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    sim::ScheduleRecorder recorder;
+    core::SecureGridConfig cfg = event_driven_config();
+    cfg.threads = threads;
+    cfg.trace = &recorder;
+    core::SecureGrid grid(cfg);
+    grid.run_steps(25);
+    EXPECT_EQ(test::fnv1a(test::grid_fingerprint(grid)),
+              0x8275f31088db4279ull)
+        << "threads=" << threads;
+    expect_reference_reproduces(recorder.finish());
   }
 }
 
+// The batched discipline's schedule under the reference heap (the second
+// scheduling policy): same golden fingerprint, same recorded order.
 TEST(GoldenTrace, BatchedDisciplineIsPolicyInvariant) {
-  for (const sim::QueuePolicy policy : kAllPolicies) {
-    core::SecureGridConfig cfg;
-    cfg.env.n_resources = 12;
-    cfg.env.seed = 7;
-    cfg.env.quest.n_items = 8;
-    cfg.env.quest.n_transactions = 240;
-    cfg.env.initial_fraction = 0.5;
-    cfg.secure.k = 4;
-    cfg.secure.arrivals_per_step = 5;
-    cfg.threads = 2;
-    cfg.queue_policy = policy;
-    core::SecureGrid grid(cfg);
-    grid.run_steps(40);
-    EXPECT_EQ(test::fnv1a(test::grid_fingerprint(grid)),
-              0x24762fb198c29b5full)
-        << "policy=" << sim::queue_policy_name(policy);
-  }
+  sim::ScheduleRecorder recorder;
+  core::SecureGridConfig cfg;
+  cfg.env.n_resources = 12;
+  cfg.env.seed = 7;
+  cfg.env.quest.n_items = 8;
+  cfg.env.quest.n_transactions = 240;
+  cfg.env.initial_fraction = 0.5;
+  cfg.secure.k = 4;
+  cfg.secure.arrivals_per_step = 5;
+  cfg.threads = 2;
+  cfg.trace = &recorder;
+  core::SecureGrid grid(cfg);
+  grid.run_steps(40);
+  EXPECT_EQ(test::fnv1a(test::grid_fingerprint(grid)),
+            0x24762fb198c29b5full);
+  expect_reference_reproduces(recorder.finish());
 }
 
 // max_queue_depth is a pure function of the (time, seq) stream, so the
-// instrumented high-water mark — and the engine's own always-on counter —
-// must agree between queue policies.
+// engine's always-on counter and the instrumented high-water mark must
+// equal the reference heap's depth on the same recorded schedule.
 TEST(GoldenTrace, MaxQueueDepthAgreesAcrossQueuePolicies) {
-  struct Depths {
-    std::uint64_t metrics;
-    std::uint64_t engine;
-  };
-  const auto run = [](sim::QueuePolicy policy) -> Depths {
-    core::SecureGridConfig cfg = event_driven_config();
-    cfg.threads = 1;
-    // Pin the plain engine: this test reads the single queue's own depth
-    // counter, which a sharded grid (e.g. under KGRID_SHARDS) leaves empty
-    // in favour of per-shard stats (Engine::flush_stats).
-    cfg.shards = 0;
-    cfg.queue_policy = policy;
-    core::SecureGrid grid(cfg);
-    sim::EngineMetrics metrics;
-    grid.engine().attach_metrics(&metrics);
-    grid.run_steps(25);
-    return {metrics.max_queue_depth(), grid.engine().queue_stats().max_depth};
-  };
-  const Depths reference = run(sim::QueuePolicy::kLegacy);
-  EXPECT_GT(reference.engine, 0u);
-  for (const sim::QueuePolicy policy :
-       {sim::QueuePolicy::kCalendar, sim::QueuePolicy::kDary4,
-        sim::QueuePolicy::kDary8}) {
-    const Depths got = run(policy);
-    EXPECT_EQ(got.metrics, reference.metrics)
-        << sim::queue_policy_name(policy);
-    EXPECT_EQ(got.engine, reference.engine) << sim::queue_policy_name(policy);
-  }
+  sim::ScheduleRecorder recorder;
+  core::SecureGridConfig cfg = event_driven_config();
+  cfg.threads = 1;
+  // Pin the plain engine: this test reads the single queue's own depth
+  // counter, which a sharded grid (e.g. under KGRID_SHARDS) leaves empty
+  // in favour of per-shard stats (Engine::flush_stats).
+  cfg.shards = 0;
+  cfg.trace = &recorder;
+  core::SecureGrid grid(cfg);
+  sim::EngineMetrics metrics;
+  grid.engine().attach_metrics(&metrics);
+  grid.run_steps(25);
+  const sim::ReferenceRun ref = expect_reference_reproduces(recorder.finish());
+  EXPECT_GT(ref.max_depth, 0u);
+  EXPECT_EQ(grid.engine().queue_stats().max_depth, ref.max_depth);
+  EXPECT_EQ(metrics.max_queue_depth(), ref.max_depth);
 }
 
 }  // namespace

@@ -123,17 +123,36 @@ TEST(ValidateBenchJson, RejectsAllZeroQueueCountersWhenEventsFlowed) {
   EXPECT_NE(err.find("all zero"), std::string::npos) << err;
 }
 
-TEST(ValidateBenchJson, AcceptsLiveQueueCountersWhenEventsFlowed) {
+/// A report whose sim section processed 42 events with live queue
+/// counters; `with_wheel` controls the sim.timer_wheel section every engine
+/// flush writes.
+Json events_flowed_json(bool with_wheel) {
   Json j = valid_report_json();
   Json sim = *j.find("sim");
   sim.set("events_processed", 42);
   Json queue = *sim.find("queue");
-  queue.set("kind", "dary4");
   queue.set("pushes", 42);
   queue.set("pops", 42);
   sim.set("queue", std::move(queue));
+  if (with_wheel) {
+    Json wheel = Json::object();
+    for (const char* key : {"scheduled", "fired", "cascades", "far_events",
+                            "rebuilds", "max_pending"})
+      wheel.set(key, 0);
+    sim.set("timer_wheel", std::move(wheel));
+  }
   j.set("sim", std::move(sim));
-  EXPECT_EQ(validate_bench_json(j), "");
+  return j;
+}
+
+TEST(ValidateBenchJson, AcceptsLiveQueueCountersWhenEventsFlowed) {
+  EXPECT_EQ(validate_bench_json(events_flowed_json(/*with_wheel=*/true)), "");
+}
+
+TEST(ValidateBenchJson, RejectsMissingTimerWheelWhenEventsFlowed) {
+  const std::string err =
+      validate_bench_json(events_flowed_json(/*with_wheel=*/false));
+  EXPECT_NE(err.find("sim.timer_wheel missing"), std::string::npos) << err;
 }
 
 TEST(ValidateBenchJson, RejectsMalformedEventPool) {

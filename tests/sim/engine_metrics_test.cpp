@@ -150,7 +150,7 @@ TEST(EngineMetrics, IdenticalSeededRunsExportIdenticalJson) {
 TEST(EngineMetrics, QueueAndPoolCountersFlushAsDeltas) {
   EngineMetrics metrics;
   {
-    Engine engine;  // default policy: timer wheel + event pool
+    Engine engine;
     engine.attach_metrics(&metrics);
     Relay sink;  // budget 0: swallow the message
     sink.self = engine.add_entity(&sink, "sink");
@@ -159,7 +159,6 @@ TEST(EngineMetrics, QueueAndPoolCountersFlushAsDeltas) {
     engine.flush_stats();
     engine.flush_stats();  // repeat flushes must not double-count
   }  // destructor flush: nothing new since the explicit flush
-  EXPECT_EQ(metrics.queue_kind(), "wheel");
   EXPECT_EQ(metrics.queue_stats().pushes, 1u);
   EXPECT_EQ(metrics.queue_stats().pops, 1u);
   EXPECT_EQ(metrics.queue_stats().max_depth, 1u);
@@ -167,19 +166,12 @@ TEST(EngineMetrics, QueueAndPoolCountersFlushAsDeltas) {
   EXPECT_EQ(metrics.event_pool_stats().released, 1u);
 
   const obs::Json j = metrics.to_json();
-  EXPECT_EQ(j.find("queue")->find("kind")->as_string(), "wheel");
   EXPECT_EQ(j.find("queue")->find("engines")->as_uint(), 1u);
   EXPECT_EQ(j.find("queue")->find("pushes")->as_uint(), 1u);
   EXPECT_EQ(j.find("event_pool")->find("acquired")->as_uint(), 1u);
-}
-
-TEST(EngineMetrics, MixedQueuePoliciesReportMixedKind) {
-  EngineMetrics metrics;
-  { Engine e(QueuePolicy::kDary4); e.attach_metrics(&metrics); }
-  EXPECT_EQ(metrics.queue_kind(), "dary4");
-  { Engine e(QueuePolicy::kLegacy); e.attach_metrics(&metrics); }
-  EXPECT_EQ(metrics.queue_kind(), "mixed");
-  EXPECT_EQ(metrics.to_json().find("queue")->find("engines")->as_uint(), 2u);
+  // Every engine flushes its timer-wheel counters (no timers ran here).
+  ASSERT_NE(j.find("timer_wheel"), nullptr);
+  EXPECT_EQ(j.find("timer_wheel")->find("scheduled")->as_uint(), 0u);
 }
 
 TEST(EngineMetrics, DetachedEngineRunsUninstrumented) {

@@ -1,18 +1,22 @@
-// Differential fuzz over the queue policies (sim/event_queue.hpp): a
-// randomized send/schedule/offload workload must produce the identical
-// delivery sequence — (time, from, to, tag) at every event — whether the
-// scheduler is the 4-ary heap, the 8-ary heap, or the legacy binary-heap
-// structure the seed engine used. Delays are quantized so equal timestamps
-// (and therefore the seq tie-break) occur constantly; each shape mixes the
-// engine's three event sources differently.
+// Differential fuzz of the engine's scheduler (sim/event_queue.hpp): a
+// randomized send/schedule/offload workload is recorded with a
+// ScheduleRecorder, and the reference binary heap (reference_scheduler.hpp)
+// replaying that recording must reproduce the engine's dispatch hash,
+// dispatch count, and queue high-water mark. Delays are quantized so equal
+// timestamps (and therefore the seq tie-break) occur constantly; each shape
+// mixes the engine's three event sources differently.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <tuple>
 #include <vector>
 
+#include "reference_scheduler.hpp"
 #include "sim/engine.hpp"
+#include "sim/trace.hpp"
 #include "util/rng.hpp"
 
 namespace kgrid::sim {
@@ -86,13 +90,17 @@ class FuzzEntity : public Entity {
 
 struct RunResult {
   std::vector<Record> log;
+  Schedule schedule;
   QueueStats queue;
   EventPoolStats pool;
+  TimerWheelStats wheel;
 };
 
-RunResult run_workload(QueuePolicy policy, Shape shape, std::uint64_t seed) {
+RunResult run_workload(Shape shape, std::uint64_t seed) {
   constexpr std::size_t kEntities = 16;
-  Engine engine(policy);
+  Engine engine;
+  ScheduleRecorder recorder;
+  engine.attach_trace(&recorder);
   std::vector<Record> log;
   std::int64_t budget = 2000;  // total reactions; guarantees quiescence
   std::vector<std::unique_ptr<FuzzEntity>> entities;
@@ -112,37 +120,37 @@ RunResult run_workload(QueuePolicy policy, Shape shape, std::uint64_t seed) {
                 static_cast<int>(i));
   }
   engine.run_to_quiescence(1 << 20);
-  return {std::move(log), engine.queue_stats(), engine.event_pool_stats()};
+  engine.attach_trace(nullptr);
+  return {std::move(log), recorder.finish(), engine.queue_stats(),
+          engine.event_pool_stats(), engine.timer_wheel_stats()};
 }
 
+// The two scheduling policies under test — the engine's calendar queue +
+// timer wheel, and the reference binary heap — must produce the identical
+// delivery sequence.
 TEST(QueueFuzz, PoliciesProduceIdenticalDeliverySequences) {
   for (const Shape& shape : kShapes) {
     for (const std::uint64_t seed : {11u, 222u, 3333u}) {
-      const RunResult legacy =
-          run_workload(QueuePolicy::kLegacy, shape, seed);
-      ASSERT_GT(legacy.log.size(), 100u)
+      const RunResult run = run_workload(shape, seed);
+      ASSERT_GT(run.log.size(), 100u)
           << shape.name << " seed=" << seed << " (workload too small)";
-      for (const QueuePolicy policy :
-           {QueuePolicy::kCalendar, QueuePolicy::kDary4, QueuePolicy::kDary8,
-            QueuePolicy::kWheel}) {
-        const RunResult got = run_workload(policy, shape, seed);
-        ASSERT_EQ(got.log.size(), legacy.log.size())
-            << shape.name << " seed=" << seed;
-        EXPECT_EQ(got.log, legacy.log) << shape.name << " seed=" << seed;
-        // Every policy sees the same (time, seq) stream, so the structural
-        // counters shared by all policies must agree exactly.
-        EXPECT_EQ(got.queue.pushes, legacy.queue.pushes);
-        EXPECT_EQ(got.queue.pops, legacy.queue.pops);
-        EXPECT_EQ(got.queue.max_depth, legacy.queue.max_depth);
-      }
+      ASSERT_EQ(run.schedule.dispatch_count, run.log.size());
+      const ReferenceRun ref = run_reference_scheduler(run.schedule);
+      EXPECT_EQ(ref.hash, run.schedule.dispatch_hash)
+          << shape.name << " seed=" << seed;
+      EXPECT_EQ(ref.dispatched, run.schedule.dispatch_count);
+      EXPECT_EQ(ref.max_depth, run.queue.max_depth);
+      EXPECT_EQ(run.queue.pushes, run.schedule.pushes.size());
+      EXPECT_EQ(run.queue.pops, run.schedule.dispatch_count);
     }
   }
 }
 
 TEST(QueueFuzz, PooledRunsRecycleEveryEvent) {
-  const RunResult r =
-      run_workload(QueuePolicy::kDary4, kShapes[2], /*seed=*/77);
-  EXPECT_EQ(r.pool.acquired, r.queue.pushes);
+  const RunResult r = run_workload(kShapes[2], /*seed=*/77);
+  // Messages take pool slots; timers live in the wheel and bypass the pool.
+  EXPECT_GT(r.wheel.scheduled, 0u);
+  EXPECT_EQ(r.pool.acquired + r.wheel.scheduled, r.queue.pushes);
   EXPECT_EQ(r.pool.released, r.pool.acquired);  // quiesced: nothing in flight
   EXPECT_LE(r.pool.max_in_use, r.pool.slots);
   // The workload tops out well under one slab, so the pool never overflowed.
@@ -150,11 +158,25 @@ TEST(QueueFuzz, PooledRunsRecycleEveryEvent) {
   EXPECT_EQ(r.pool.slots, EventPool::kSlabEvents);
 }
 
-TEST(QueueFuzz, LegacyPolicyBypassesThePool) {
-  const RunResult r =
-      run_workload(QueuePolicy::kLegacy, kShapes[0], /*seed=*/77);
-  EXPECT_EQ(r.pool.acquired, 0u);
-  EXPECT_EQ(r.pool.slots, 0u);
+// Negative control: the oracle can fail. Moving one push just past its
+// neighbour's delivery time swaps their dispatch order, and the reference
+// replay of the doctored schedule must no longer match the recording.
+TEST(QueueFuzz, ReferenceRejectsADoctoredSchedule) {
+  const RunResult run = run_workload(kShapes[0], /*seed=*/11);
+  Schedule doctored = run.schedule;
+  auto& pushes = doctored.pushes;
+  std::size_t i = 0;
+  while (i + 1 < pushes.size() &&
+         !(pushes[i].record.time < pushes[i + 1].record.time))
+    ++i;
+  ASSERT_LT(i + 1, pushes.size());
+  pushes[i].record.time = std::nextafter(
+      pushes[i + 1].record.time, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(run_reference_scheduler(run.schedule).hash,
+            run.schedule.dispatch_hash);
+  const ReferenceRun ref = run_reference_scheduler(doctored);
+  EXPECT_EQ(ref.dispatched, doctored.dispatch_count);
+  EXPECT_NE(ref.hash, doctored.dispatch_hash);
 }
 
 }  // namespace

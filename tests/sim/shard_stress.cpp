@@ -5,14 +5,16 @@
 // threads while every entity scatters messages across every shard, so the
 // mailbox handoff, the window barrier, and the payload-detach discipline
 // all get hammered with real concurrency. Correctness = the dispatch-order
-// hash is identical at every (shards, threads) combination, including the
-// single-threaded reference.
+// hash is identical at every (shards, threads) combination and equal to the
+// unsharded engine's, whose recording the reference binary heap
+// (reference_scheduler.hpp) must reproduce.
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "reference_scheduler.hpp"
 #include "sim/engine.hpp"
 #include "sim/executor.hpp"
 #include "sim/trace.hpp"
@@ -73,14 +75,14 @@ class Scatter : public sim::Entity {
   Rng rng_;
 };
 
-std::uint64_t run(std::size_t shards, std::size_t threads,
-                  sim::QueuePolicy policy) {
+/// One scatter run, recorded; `shards == 0` is the unsharded engine.
+sim::Schedule run(std::size_t shards, std::size_t threads) {
   sim::Executor exec(threads);
-  sim::Engine engine(policy);
-  engine.enable_sharding(shards, 1.0);
+  sim::Engine engine;
+  if (shards > 0) engine.enable_sharding(shards, 1.0);
   if (threads > 1) engine.attach_executor(&exec);
-  sim::ScheduleHasher hasher;
-  engine.attach_trace(&hasher);
+  sim::ScheduleRecorder recorder;
+  engine.attach_trace(&recorder);
 
   const std::size_t n = 32;
   Rng root(0x5a4dull);
@@ -96,30 +98,30 @@ std::uint64_t run(std::size_t shards, std::size_t threads,
   engine.run_to_quiescence(1u << 22);
 
   check(engine.idle(), "engine quiesced");
-  check(hasher.dispatched() > 1000, "enough events to mean anything");
-  check(engine.shard_stats().mailbox_events > 0 || shards == 1,
+  check(recorder.dispatched() > 1000, "enough events to mean anything");
+  check(engine.shard_stats().mailbox_events > 0 || shards <= 1,
         "cross-shard traffic present");
-  return hasher.hash();
+  engine.attach_trace(nullptr);
+  return recorder.finish();
 }
 
 }  // namespace
 
 int main() {
-  // Both the default wheel policy (timers in the per-lane hashed wheel,
-  // messages in the calendar) and the pure calendar run the same matrix
-  // against one reference hash: the wheel's per-lane state is part of the
-  // window/barrier ownership handoff TSan patrols here, and the hash check
-  // doubles as the policy-invariance gate under real concurrency.
-  const std::uint64_t reference = run(4, 1, sim::QueuePolicy::kCalendar);
-  for (const sim::QueuePolicy policy :
-       {sim::QueuePolicy::kWheel, sim::QueuePolicy::kCalendar}) {
-    for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-      for (const std::size_t threads : {2u, 4u}) {
-        for (int round = 0; round < 3; ++round) {
-          const std::uint64_t h = run(shards, threads, policy);
-          check(h == reference,
-                "dispatch hash invariant across policy/shards/threads");
-        }
+  // The unsharded engine is the reference schedule, checked against the
+  // reference heap; every sharded run (per-lane timer wheels and calendar
+  // queues inside the window/barrier handoff TSan patrols here) must
+  // reproduce its hash.
+  const sim::Schedule reference = run(0, 1);
+  const sim::ReferenceRun oracle = sim::run_reference_scheduler(reference);
+  check(oracle.hash == reference.dispatch_hash &&
+            oracle.dispatched == reference.dispatch_count,
+        "reference heap reproduces the unsharded schedule");
+  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
+    for (const std::size_t threads : {2u, 4u}) {
+      for (int round = 0; round < 3; ++round) {
+        check(run(shards, threads).dispatch_hash == reference.dispatch_hash,
+              "dispatch hash invariant across shards/threads");
       }
     }
   }

@@ -1,16 +1,15 @@
-// TimerWheel (sim/timer_wheel.hpp): the hashed hierarchical wheel behind
-// QueuePolicy::kWheel. Three layers of evidence that the wheel is a pure
-// placement structure with no observable effect on dispatch order:
+// TimerWheel (sim/timer_wheel.hpp): the hashed hierarchical wheel that
+// holds the engine's timers. Two layers of evidence that the wheel is a
+// pure placement structure with no observable effect on dispatch order:
 //
 //   1. unit differential — random push/pop interleavings against a
 //      reference (time, seq) min-heap, including far-future entries (the
 //      far heap), zero-delay timers, and enough pushes to trigger the
 //      one-shot width adaptation;
 //   2. engine differential — full-engine fuzz workloads (ring/star/scatter,
-//      shards 1 and 4) must hash identically under kWheel and under every
-//      other queue policy;
-//   3. cross-policy replay — a schedule recorded on a kCalendar engine must
-//      replay hash-exact on a kWheel engine (sim/trace.hpp).
+//      shards 1 and 4) are recorded, and the reference binary heap
+//      (reference_scheduler.hpp) replaying each recording must reproduce
+//      its dispatch hash, dispatch count, and pending-set high-water mark.
 #include "sim/timer_wheel.hpp"
 
 #include <gtest/gtest.h>
@@ -21,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "reference_scheduler.hpp"
 #include "sim/engine.hpp"
 #include "sim/metrics.hpp"
 #include "sim/trace.hpp"
@@ -220,18 +220,18 @@ class Hop : public Entity {
 };
 
 struct FuzzResult {
-  std::uint64_t hash = 0;
-  std::uint64_t dispatched = 0;
+  Schedule schedule;
   std::uint64_t timers_fired = 0;
+  std::uint64_t max_depth = 0;  // global pending-set high-water mark
+  std::uint64_t queue_max_depth = 0;  // the plain engine's own counter
 };
 
-FuzzResult run_fuzz(QueuePolicy policy, std::uint64_t seed, Shape shape,
-                    std::size_t shards) {
+FuzzResult run_fuzz(std::uint64_t seed, Shape shape, std::size_t shards) {
   constexpr std::size_t kEntities = 13;
-  Engine engine(policy);
+  Engine engine;
   if (shards > 1) engine.enable_sharding(shards, 1.0);
-  ScheduleHasher hasher;
-  engine.attach_trace(&hasher);
+  ScheduleRecorder recorder;
+  engine.attach_trace(&recorder);
   EngineMetrics metrics;
   engine.attach_metrics(&metrics);
   Rng root(seed);
@@ -246,78 +246,40 @@ FuzzResult run_fuzz(QueuePolicy policy, std::uint64_t seed, Shape shape,
     engine.schedule(static_cast<EntityId>(i), 0.25 * static_cast<double>(i),
                     1);
   engine.run_to_quiescence(1u << 20);
+  engine.attach_trace(nullptr);
   engine.flush_stats();
-  return {hasher.hash(), hasher.dispatched(), metrics.total_timers()};
+  return {recorder.finish(), metrics.total_timers(), metrics.max_queue_depth(),
+          engine.queue_stats().max_depth};
 }
 
+// The two scheduling policies under test — the engine's calendar queue +
+// timer wheel, and the reference binary heap — must agree on every shape
+// at shards 1 and 4. (Sharded depth is the merge-maintained global count
+// EngineMetrics reports; the plain engine's own counter must match too.)
 TEST(TimerWheelEngine, WheelMatchesEveryPolicyAcrossShapesAndShards) {
   for (const std::uint64_t seed : {5u, 59u, 591u}) {
     for (const Shape shape : {Shape::kRing, Shape::kStar, Shape::kScatter}) {
+      std::uint64_t plain_hash = 0;
       for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-        const FuzzResult wheel =
-            run_fuzz(QueuePolicy::kWheel, seed, shape, shards);
-        ASSERT_GT(wheel.dispatched, 50u);
-        ASSERT_GT(wheel.timers_fired, 0u);  // the wheel actually ran timers
-        for (const QueuePolicy policy :
-             {QueuePolicy::kCalendar, QueuePolicy::kDary4,
-              QueuePolicy::kDary8}) {
-          const FuzzResult other = run_fuzz(policy, seed, shape, shards);
-          EXPECT_EQ(wheel.hash, other.hash)
-              << "seed=" << seed << " shape=" << static_cast<int>(shape)
-              << " shards=" << shards;
-          EXPECT_EQ(wheel.dispatched, other.dispatched);
-          EXPECT_EQ(wheel.timers_fired, other.timers_fired);
+        const FuzzResult run = run_fuzz(seed, shape, shards);
+        const Schedule& s = run.schedule;
+        ASSERT_GT(s.dispatch_count, 50u);
+        ASSERT_GT(run.timers_fired, 0u);  // the wheel actually ran timers
+        const ReferenceRun ref = run_reference_scheduler(s);
+        EXPECT_EQ(ref.hash, s.dispatch_hash)
+            << "seed=" << seed << " shape=" << static_cast<int>(shape)
+            << " shards=" << shards;
+        EXPECT_EQ(ref.dispatched, s.dispatch_count);
+        EXPECT_EQ(ref.max_depth, run.max_depth);
+        if (shards == 1) {
+          EXPECT_EQ(ref.max_depth, run.queue_max_depth);
+          plain_hash = s.dispatch_hash;
+        } else {
+          EXPECT_EQ(s.dispatch_hash, plain_hash);
         }
       }
     }
   }
-}
-
-// ---------------------------------------------- cross-policy replay ----
-
-/// Ping-pong plus a periodic timer (the trace_test chatter shape).
-class Chatter : public Entity {
- public:
-  Chatter(EntityId self, EntityId peer, int budget)
-      : self_(self), peer_(peer), budget_(budget) {}
-
-  void on_message(Engine& engine, EntityId, Payload& payload) override {
-    if (budget_-- > 0)
-      engine.send(self_, peer_, 0.25 + 0.01 * budget_,
-                  payload.get<std::string>());
-  }
-
-  void on_timer(Engine& engine, std::uint64_t timer_id) override {
-    if (timer_id < 3) engine.schedule(self_, 1.0, timer_id + 1);
-  }
-
- private:
-  EntityId self_;
-  EntityId peer_;
-  int budget_;
-};
-
-TEST(TimerWheelEngine, ReplaysCalendarRecordingHashExact) {
-  Engine recorder_engine(QueuePolicy::kCalendar);
-  ScheduleRecorder recorder;
-  recorder_engine.attach_trace(&recorder);
-  Chatter a(0, 1, 5), b(1, 0, 5);
-  recorder_engine.add_entity(&a);
-  recorder_engine.add_entity(&b);
-  recorder_engine.schedule(0, 0.5, 0);
-  recorder_engine.send(0, 1, 0.1, std::string("ping"));
-  recorder_engine.send(1, 0, 0.2, std::string("pong"));
-  recorder_engine.run_to_quiescence(1000);
-  recorder_engine.attach_trace(nullptr);
-  const Schedule schedule = recorder.finish();
-  ASSERT_GT(schedule.dispatch_count, 10u);
-
-  Engine engine(QueuePolicy::kWheel);
-  NullEntity sink;
-  const ReplayResult r = replay_schedule(engine, sink, schedule);
-  EXPECT_TRUE(r.hash_matches);
-  EXPECT_EQ(r.dispatched, schedule.dispatch_count);
-  EXPECT_EQ(r.hash, schedule.dispatch_hash);
 }
 
 }  // namespace

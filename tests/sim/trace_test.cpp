@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "reference_scheduler.hpp"
 #include "util/bytes.hpp"
 
 namespace kgrid::sim {
@@ -198,18 +199,38 @@ TEST(ScheduleTrace, DecodeRejectsCorruptBytes) {
   EXPECT_FALSE(decode_schedule(wrong_version, &out));
 }
 
+/// Replay `s` through a fresh engine and through the reference heap
+/// (reference_scheduler.hpp): both must reproduce the recorded hash and
+/// count, and agree on the pending-set high-water mark.
+void expect_engine_and_reference_replay(const Schedule& s) {
+  Engine engine;
+  NullEntity sink;
+  const ReplayResult r = replay_schedule(engine, sink, s);
+  EXPECT_TRUE(r.hash_matches);
+  EXPECT_EQ(r.dispatched, s.dispatch_count);
+  EXPECT_EQ(r.hash, s.dispatch_hash);
+  const ReferenceRun ref = run_reference_scheduler(s);
+  EXPECT_EQ(ref.hash, s.dispatch_hash);
+  EXPECT_EQ(ref.dispatched, s.dispatch_count);
+  EXPECT_EQ(ref.max_depth, engine.queue_stats().max_depth);
+}
+
+// Both scheduling policies — the engine's queue and the reference heap.
 TEST(ScheduleTrace, ReplayReproducesTheHashUnderEveryPolicy) {
-  const Schedule s = record_chatter();
-  for (const QueuePolicy policy :
-       {QueuePolicy::kCalendar, QueuePolicy::kDary4, QueuePolicy::kDary8,
-        QueuePolicy::kLegacy}) {
-    Engine engine(policy);
-    NullEntity sink;
-    const ReplayResult r = replay_schedule(engine, sink, s);
-    EXPECT_TRUE(r.hash_matches);
-    EXPECT_EQ(r.dispatched, s.dispatch_count);
-    EXPECT_EQ(r.hash, s.dispatch_hash);
-  }
+  expect_engine_and_reference_replay(record_chatter());
+}
+
+// A real protocol schedule under the oracle: the fig3 n=32 cell committed
+// in TRACE_fig3_small.trace (docs/BENCHMARKS.md "Refreshing the baselines").
+TEST(ScheduleTrace, CommittedFig3ScheduleReplaysUnderTheReference) {
+  TraceFile file;
+  ASSERT_TRUE(TraceFile::load(KGRID_FIG3_TRACE, &file)) << KGRID_FIG3_TRACE;
+  const std::string* bytes = file.find("sched:n=32/sig=0.30");
+  ASSERT_NE(bytes, nullptr);
+  Schedule s;
+  ASSERT_TRUE(decode_schedule(*bytes, &s));
+  ASSERT_GT(s.dispatch_count, 500u);
+  expect_engine_and_reference_replay(s);
 }
 
 TEST(ScheduleTrace, ReplaySurvivesSerialization) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Markdown link lint for the kgrid handbook (CI job `docs`).
+"""Markdown link and flag lint for the kgrid handbook (CI job `docs`).
 
 Checks, over README.md, the repo-root *.md files, and docs/*.md:
 
@@ -11,7 +11,14 @@ Checks, over README.md, the repo-root *.md files, and docs/*.md:
   * cross-file anchors `[text](FILE.md#anchor)` match a heading of the
     linked file.
 
-Exit status is the number of broken links (0 = clean). No third-party
+And, over docs/BENCHMARKS.md's per-bench flag table (the `| Binary | What
+it measures | Own flags |` table): every `--flag` a row advertises is
+parsed by that bench's source (`bench/<binary>.cpp`) or by
+`bench/bench_util.hpp` — either as a Cli key (`"flag"`) or as a raw
+argv prefix (`"--flag`). google-benchmark's own `--benchmark_*` flags are
+exempt.
+
+Exit status is the number of problems (0 = clean). No third-party
 dependencies; stdlib only, so the CI step is one `python3 tools/docs_lint.py`.
 """
 
@@ -64,6 +71,41 @@ def lint_file(path: Path) -> list:
     return errors
 
 
+FLAG_TABLE_HEADER = "| Binary | What it measures | Own flags |"
+FLAG_RE = re.compile(r"--([a-z][a-z0-9_]*)")
+CELL_SPLIT_RE = re.compile(r"(?<!\\)\|")  # cell separators, not `\|`
+
+
+def parses_flag(source: str, flag: str) -> bool:
+    """True when `source` reads `--flag` as a Cli key or an argv prefix."""
+    return re.search(rf'"(--)?{flag}(?![a-z0-9_])', source) is not None
+
+
+def lint_flags(path: Path) -> list:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if FLAG_TABLE_HEADER not in lines:
+        return [f"{path.relative_to(ROOT)}: per-bench flag table not found"]
+    shared = (ROOT / "bench" / "bench_util.hpp").read_text(encoding="utf-8")
+    errors = []
+    for line in lines[lines.index(FLAG_TABLE_HEADER) + 2:]:
+        if not line.startswith("|"):
+            break
+        cells = [c.strip() for c in CELL_SPLIT_RE.split(line.strip().strip("|"))]
+        binary = cells[0].strip("`")
+        source_path = ROOT / "bench" / f"{binary}.cpp"
+        if not source_path.exists():
+            errors.append(f"{path.relative_to(ROOT)}: no source for {binary}")
+            continue
+        source = source_path.read_text(encoding="utf-8")
+        for flag in FLAG_RE.findall(cells[-1]):
+            if flag.startswith("benchmark_"):
+                continue  # parsed by google-benchmark itself
+            if not (parses_flag(source, flag) or parses_flag(shared, flag)):
+                errors.append(f"{path.relative_to(ROOT)}: {binary} does not "
+                              f"parse advertised flag --{flag}")
+    return errors
+
+
 # Source-paper retrieval artifacts, not handbook pages: they carry scraped
 # links (figures, arxiv assets) that are dead by construction.
 EXCLUDE = {"PAPER.md", "PAPERS.md", "SNIPPETS.md", "ISSUE.md"}
@@ -75,9 +117,10 @@ def main() -> int:
     errors = []
     for f in files:
         errors.extend(lint_file(f))
+    errors.extend(lint_flags(ROOT / "docs" / "BENCHMARKS.md"))
     for e in errors:
         print(e, file=sys.stderr)
-    print(f"docs_lint: {len(files)} files, {len(errors)} broken link(s)")
+    print(f"docs_lint: {len(files)} files, {len(errors)} problem(s)")
     return min(len(errors), 99)
 
 
