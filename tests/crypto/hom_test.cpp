@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "crypto/packing.hpp"
+#include "obs/crypto_counters.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace kgrid::hom {
@@ -16,6 +21,27 @@ class HomBackendTest : public ::testing::TestWithParam<Backend> {
   HomBackendTest() : rng_(99) {
     ctx_ = GetParam() == Backend::kPlain ? Context::make_plain()
                                          : Context::make_paillier(512, rng_);
+  }
+
+  /// A fresh context with ctx_'s keys. Paillier draws its randomizers from
+  /// a per-key pool rather than the caller's Rng, so two op sequences are
+  /// comparable bit for bit only when each starts from a pool in the same
+  /// state: run one on each twin, with inputs passed through reload().
+  ContextPtr twin() const {
+    Rng key_rng(99);
+    return GetParam() == Backend::kPlain ? Context::make_plain()
+                                         : Context::make_paillier(512, key_rng);
+  }
+
+  /// The same ciphertext without its cached Montgomery form, which belongs
+  /// to the context that built it and so cannot cross into a twin.
+  static Cipher reload(const Cipher& c) {
+    util::ByteWriter w;
+    encode_cipher(w, c);
+    util::ByteReader r(w.bytes());
+    Cipher out;
+    EXPECT_TRUE(decode_cipher(r, &out));
+    return out;
   }
 
   Rng rng_;
@@ -93,6 +119,124 @@ TEST_P(HomBackendTest, ZeroIsAdditiveIdentity) {
   const Cipher z = eval.zero(3, rng_);
   EXPECT_EQ(ctx_->decrypt_key().decrypt(eval.add(a, z), 3),
             (std::vector<std::uint64_t>{4, 5, 6}));
+}
+
+/// The wire encoding of a cipher: every bit of its state (fields and salt,
+/// or the Paillier limbs), so equal bytes mean the same ciphertext.
+std::string cipher_bytes(const Cipher& c) {
+  util::ByteWriter w;
+  encode_cipher(w, c);
+  return w.bytes();
+}
+
+/// The hom.* op counters, to compare what two equivalent op sequences paid.
+std::vector<std::uint64_t> hom_op_counts() {
+  const auto& cc = obs::crypto_counters();
+  return {cc.hom_encrypts.value(), cc.hom_decrypts.value(),
+          cc.hom_adds.value(), cc.hom_scalar_muls.value(),
+          cc.hom_rerandomizes.value()};
+}
+
+std::vector<std::uint64_t> counts_since(const std::vector<std::uint64_t>& t0) {
+  std::vector<std::uint64_t> d = hom_op_counts();
+  for (std::size_t i = 0; i < d.size(); ++i) d[i] -= t0[i];
+  return d;
+}
+
+TEST_P(HomBackendTest, AddIntoMatchesAddBitForBit) {
+  const auto enc = ctx_->encrypt_key();
+  const auto eval = ctx_->eval_handle();
+  const Cipher a = enc.encrypt(std::vector<std::uint64_t>{1, 2}, rng_);
+  const Cipher b = enc.encrypt(std::vector<std::uint64_t>{10, 20, 30}, rng_);
+
+  Cipher acc = a;  // shorter accumulator: b's extra field zero-extends it
+  eval.add_into(acc, b);
+  EXPECT_EQ(acc, eval.add(a, b));
+  Cipher acc2 = b;
+  eval.add_into(acc2, a);
+  EXPECT_EQ(acc2, eval.add(b, a));
+
+  Cipher self = a;  // the same object on both sides
+  eval.add_into(self, self);
+  EXPECT_EQ(self, eval.add(a, a));
+
+  Cipher x = a;  // two ciphers copied from one source
+  const Cipher y = a;
+  eval.add_into(x, y);
+  EXPECT_EQ(x, eval.add(a, a));
+  EXPECT_EQ(y, a);
+  EXPECT_EQ(ctx_->decrypt_key().decrypt(x, 2),
+            (std::vector<std::uint64_t>{2, 4}));
+}
+
+TEST_P(HomBackendTest, RerandomizeIntoMatchesRerandomize) {
+  const Cipher a =
+      ctx_->encrypt_key().encrypt(std::vector<std::uint64_t>{7, 11}, rng_);
+  Rng r1(2024);
+  Rng r2(2024);
+  const ContextPtr ctx1 = twin();
+  const ContextPtr ctx2 = twin();
+  Cipher c = reload(a);
+  ctx1->eval_handle().rerandomize_into(c, r1);
+  EXPECT_EQ(c, ctx2->eval_handle().rerandomize(reload(a), r2));
+  EXPECT_NE(c, a);
+  EXPECT_EQ(r1(), r2());  // same number of draws from the Rng
+}
+
+TEST_P(HomBackendTest, AggregateRerandomizedEqualsBatchThenFold) {
+  const auto enc = ctx_->encrypt_key();
+  const Cipher a = enc.encrypt(std::vector<std::uint64_t>{1, 2, 3}, rng_);
+  const Cipher b = enc.encrypt(std::vector<std::uint64_t>{40}, rng_);
+  const Cipher c = enc.encrypt(std::vector<std::uint64_t>{500, 600}, rng_);
+  // `a` twice: a double-counting broker batches one contribution twice.
+  const Cipher a1 = reload(a), b1 = reload(b), c1 = reload(c);
+  const Cipher a2 = reload(a), b2 = reload(b), c2 = reload(c);
+  const std::vector<const Cipher*> items1 = {&a1, &b1, &a1, &c1};
+  const std::vector<const Cipher*> items2 = {&a2, &b2, &a2, &c2};
+
+  Rng r1(77);
+  Rng r2(77);
+  const ContextPtr ctx1 = twin();
+  const auto t0 = hom_op_counts();
+  const Cipher fused = ctx1->eval_handle().aggregate_rerandomized(items1, r1);
+  const auto fused_ops = counts_since(t0);
+
+  const ContextPtr ctx2 = twin();
+  const auto eval2 = ctx2->eval_handle();
+  const auto t1 = hom_op_counts();
+  const std::vector<Cipher> fresh = eval2.rerandomize_batch(items2, r2);
+  Cipher fold = fresh[0];
+  for (std::size_t i = 1; i < fresh.size(); ++i) fold = eval2.add(fold, fresh[i]);
+  const auto unfused_ops = counts_since(t1);
+
+  EXPECT_EQ(fused, fold);
+  EXPECT_EQ(fused_ops, unfused_ops);
+  EXPECT_EQ(r1(), r2());
+  EXPECT_EQ(ctx_->decrypt_key().decrypt(fused, 3),
+            (std::vector<std::uint64_t>{542, 604, 6}));
+}
+
+TEST_P(HomBackendTest, CopyIsUnchangedWhenSourceMutatesInPlace) {
+  const auto enc = ctx_->encrypt_key();
+  const auto eval = ctx_->eval_handle();
+  const auto dec = ctx_->decrypt_key();
+  Cipher src = enc.encrypt(std::vector<std::uint64_t>{3, 4}, rng_);
+  const Cipher b = enc.encrypt(std::vector<std::uint64_t>{100, 200}, rng_);
+  const Cipher copy = src;
+  const std::string before = cipher_bytes(copy);
+
+  eval.add_into(src, b);
+  EXPECT_EQ(cipher_bytes(copy), before);
+  EXPECT_EQ(dec.decrypt(copy, 2), (std::vector<std::uint64_t>{3, 4}));
+  EXPECT_EQ(dec.decrypt(src, 2), (std::vector<std::uint64_t>{103, 204}));
+
+  const Cipher copy2 = src;
+  const std::string before2 = cipher_bytes(copy2);
+  eval.rerandomize_into(src, rng_);
+  EXPECT_EQ(cipher_bytes(copy2), before2);
+  EXPECT_EQ(cipher_bytes(copy), before);
+  EXPECT_NE(src, copy2);
+  EXPECT_EQ(dec.decrypt(src, 2), dec.decrypt(copy2, 2));
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, HomBackendTest,

@@ -47,6 +47,10 @@ OracleRun run_sim(const core::SecureGridConfig& base, std::size_t steps) {
   sim::ScheduleHasher hasher;
   core::SecureGridConfig cfg = base;
   cfg.trace = &hasher;
+  // LiveGrid always runs the plain engine, so the oracle must too: a
+  // KGRID_SHARDS default would put it in the sharded schedule family,
+  // which resolves offloaded crypto inline and so orders events differently.
+  cfg.shards = 0;
   core::SecureGrid grid(cfg);
   grid.run_steps(steps);
   return {hasher.hash(), hasher.dispatched(), test::grid_fingerprint(grid),

@@ -113,6 +113,25 @@ TEST(WireCodec, SecureRulePlainCipherRoundTrips) {
   EXPECT_EQ(ctx->decrypt_key().decrypt_value(m->counter), 31337u);
 }
 
+TEST(WireCodec, PlainCipherWithSpilledFieldsRoundTrips) {
+  // More fields than the cipher keeps inline, so they live on the heap.
+  const hom::ContextPtr ctx = hom::Context::make_plain();
+  Rng rng(8);
+  std::vector<std::uint64_t> fields(13);
+  for (std::size_t i = 0; i < fields.size(); ++i)
+    fields[i] = (i + 1) * 0x0123456789ull;
+  core::SecureRuleMessage msg;
+  msg.candidate = make_candidate();
+  msg.counter = ctx->encrypt_key().encrypt(fields, rng);
+  sim::EventRecord rec;
+  sim::Payload out;
+  round_trip(make_record(), sim::Payload(msg), &rec, &out);
+  const auto* m = out.get_if<core::SecureRuleMessage>();
+  ASSERT_NE(m, nullptr);
+  EXPECT_EQ(m->counter, msg.counter);
+  EXPECT_EQ(ctx->decrypt_key().decrypt(m->counter, fields.size()), fields);
+}
+
 TEST(WireCodec, SecureRulePaillierCipherRoundTrips) {
   Rng key_rng(99);
   const hom::ContextPtr ctx = hom::Context::make_paillier(256, key_rng);
