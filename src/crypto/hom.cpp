@@ -52,19 +52,19 @@ std::vector<Rng> split_per_item(Rng& rng, std::size_t n) {
 /// cipher lineage, not once per op.
 const wide::Montgomery::Form& cipher_form(const Cipher& c,
                                           const PaillierPublicKey& pk) {
-  const Cipher::Body& b = c.body();
-  if (!b.paillier_form.attached()) b.paillier_form = pk.to_form(b.paillier);
-  return b.paillier_form;
+  const Cipher::PaillierBody& b = *c.paillier_;
+  if (!b.form.attached()) b.form = pk.to_form(b.value);
+  return b.form;
 }
 
 /// Install an op result: keep the form for the next chained op and
 /// materialize the canonical BigInt eagerly — decryption, serialization, and
-/// operator== all read `paillier`, so the two views must never diverge.
+/// operator== all read `value`, so the two views must never diverge.
 void set_cipher_form(Cipher& c, wide::Montgomery::Form f,
                      const PaillierPublicKey& pk) {
-  Cipher::Body& b = c.own();
-  b.paillier = pk.from_form(f);
-  b.paillier_form = std::move(f);
+  Cipher::PaillierBody& b = c.paillier_for_write();
+  b.value = pk.from_form(f);
+  b.form = std::move(f);
 }
 
 /// Batch-path variant of set_cipher_form: the canonical value was already
@@ -72,22 +72,22 @@ void set_cipher_form(Cipher& c, wide::Montgomery::Form f,
 /// views without a per-item conversion.
 void set_cipher_form_value(Cipher& c, wide::Montgomery::Form f,
                            wide::BigInt value) {
-  Cipher::Body& b = c.own();
-  b.paillier = std::move(value);
-  b.paillier_form = std::move(f);
+  Cipher::PaillierBody& b = c.paillier_for_write();
+  b.value = std::move(value);
+  b.form = std::move(f);
 }
 
 void encode_cipher(util::ByteWriter& w, const Cipher& c) {
-  const Cipher::Body& b = c.body();
-  w.u8(b.backend == Backend::kPlain ? 0 : 1);
-  if (b.backend == Backend::kPlain) {
-    w.varint(b.plain.size());
-    for (const std::uint64_t field : b.plain) w.varint(field);
-    w.u64(b.salt);
+  if (c.paillier_ == nullptr) {
+    w.u8(0);
+    w.varint(c.fields_.size());
+    for (const std::uint64_t field : c.fields_) w.varint(field);
+    w.u64(c.salt_);
   } else {
-    w.varint(b.paillier.limb_count());
-    for (std::size_t i = 0; i < b.paillier.limb_count(); ++i)
-      w.u64(b.paillier.limb(i));
+    const BigInt& v = c.paillier_->value;
+    w.u8(1);
+    w.varint(v.limb_count());
+    for (std::size_t i = 0; i < v.limb_count(); ++i) w.u64(v.limb(i));
   }
 }
 
@@ -95,21 +95,20 @@ bool decode_cipher(util::ByteReader& r, Cipher* out) {
   const std::uint8_t tag = r.u8();
   if (!r.ok() || tag > 1) return false;
   Cipher c;
-  Cipher::Body& b = c.own();
   if (tag == 0) {
     const std::uint64_t n = r.varint();
     if (!r.ok() || n > r.remaining()) return false;
-    b.plain.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) b.plain.push_back(r.varint());
-    b.salt = r.u64();
+    c.fields_.reserve(n);
+    for (std::uint64_t i = 0; i < n; ++i) c.fields_.push_back(r.varint());
+    c.salt_ = r.u64();
   } else {
-    b.backend = Backend::kPaillier;
     const std::uint64_t n = r.varint();
     // Each limb is a fixed 8-byte word, so the count bounds-checks exactly.
     if (!r.ok() || n > r.remaining() / 8) return false;
     std::vector<BigInt::Limb> limbs(n);
     for (std::uint64_t i = 0; i < n; ++i) limbs[i] = r.u64();
-    b.paillier = BigInt::from_limb_span(limbs.data(), limbs.size());
+    c.paillier_for_write().value =
+        BigInt::from_limb_span(limbs.data(), limbs.size());
   }
   if (!r.ok()) return false;
   *out = std::move(c);
@@ -143,11 +142,9 @@ std::size_t Context::max_fields() const {
 Cipher EncryptKey::encrypt(std::span<const std::uint64_t> fields, Rng& rng) const {
   obs::crypto_counters().hom_encrypts.inc();
   Cipher c;
-  Cipher::Body& cb = c.own();
-  cb.backend = ctx_->backend();
   if (ctx_->backend() == Backend::kPlain) {
-    cb.plain.assign(fields.begin(), fields.end());
-    cb.salt = rng();
+    c.fields_.assign(fields.begin(), fields.end());
+    c.salt_ = rng();
     return c;
   }
   KGRID_CHECK(fields.size() <= ctx_->max_fields(),
@@ -199,11 +196,9 @@ std::vector<Cipher> EncryptKey::encrypt_batch(
     std::vector<Form> forms = pk.encrypt_form_batch(
         std::span(ms).subspan(lo, len), std::span(rngs).subspan(lo, len));
     std::vector<BigInt> values = pk.mont_n2->from_form_batch(forms);
-    for (std::size_t i = 0; i < len; ++i) {
-      out[lo + i].own().backend = Backend::kPaillier;
+    for (std::size_t i = 0; i < len; ++i)
       set_cipher_form_value(out[lo + i], std::move(forms[i]),
                             std::move(values[i]));
-    }
   });
   return out;
 }
@@ -213,20 +208,19 @@ Cipher EvalHandle::add(const Cipher& a, const Cipher& b) const {
               "cipher backend mismatch");
   obs::crypto_counters().hom_adds.inc();
   Cipher c;
-  Cipher::Body& cb = c.own();
-  cb.backend = ctx_->backend();
   if (ctx_->backend() == Backend::kPlain) {
-    const auto& ap = a.body().plain;
-    const auto& bp = b.body().plain;
-    cb.plain.resize(std::max(ap.size(), bp.size()));
-    for (std::size_t i = 0; i < cb.plain.size(); ++i) {
+    const FieldVec& ap = a.fields_;
+    const FieldVec& bp = b.fields_;
+    c.fields_.resize(std::max(ap.size(), bp.size()));
+    for (std::size_t i = 0; i < c.fields_.size(); ++i) {
       const std::uint64_t x = i < ap.size() ? ap[i] : 0;
       const std::uint64_t y = i < bp.size() ? bp[i] : 0;
-      cb.plain[i] = x + y;  // fields may wrap mod 2^64 exactly like a packed
-                            // Paillier field would carry; protocol invariants
-                            // keep real fields far from the boundary
+      c.fields_[i] = x + y;  // fields may wrap mod 2^64 exactly like a packed
+                             // Paillier field would carry; protocol
+                             // invariants keep real fields far from the
+                             // boundary
     }
-    cb.salt = a.body().salt ^ (b.body().salt << 1) ^ 0x9e3779b97f4a7c15ull;
+    c.salt_ = a.salt_ ^ (b.salt_ << 1) ^ 0x9e3779b97f4a7c15ull;
     return c;
   }
   const PaillierPublicKey& pk = ctx_->key_.pub;
@@ -240,18 +234,15 @@ void EvalHandle::add_into(Cipher& acc, const Cipher& b) const {
       "cipher backend mismatch");
   obs::crypto_counters().hom_adds.inc();
   if (ctx_->backend() == Backend::kPlain) {
-    // Read both salts up front: own() may alias-copy, and acc and b may
-    // share a body (or be the same object in an `x = x + x` style fold).
-    const std::uint64_t a_salt = acc.body().salt;
-    const std::uint64_t b_salt = b.body().salt;
-    Cipher::Body& cb = acc.own();
-    const auto& bp = b.body().plain;
-    if (bp.size() > cb.plain.size()) cb.plain.resize(bp.size());
+    // acc and b may be the same object (an `x = x + x` style fold); the
+    // field loop is element-wise and the salt reads precede the write.
+    FieldVec& af = acc.fields_;
+    const FieldVec& bp = b.fields_;
+    if (bp.size() > af.size()) af.resize(bp.size());
     // FieldVec::resize zero-fills growth, so fields past acc's old size
     // start at 0 — identical to add()'s out-of-line zero-extension.
-    const std::size_t nb = std::min(bp.size(), cb.plain.size());
-    for (std::size_t i = 0; i < nb; ++i) cb.plain[i] += bp[i];
-    cb.salt = a_salt ^ (b_salt << 1) ^ 0x9e3779b97f4a7c15ull;
+    for (std::size_t i = 0; i < bp.size(); ++i) af[i] += bp[i];
+    acc.salt_ = acc.salt_ ^ (b.salt_ << 1) ^ 0x9e3779b97f4a7c15ull;
     return;
   }
   const PaillierPublicKey& pk = ctx_->key_.pub;
@@ -264,17 +255,15 @@ Cipher EvalHandle::sub_single(const Cipher& a, const Cipher& b) const {
               "cipher backend mismatch");
   obs::crypto_counters().hom_adds.inc();
   Cipher c;
-  Cipher::Body& cb = c.own();
-  cb.backend = ctx_->backend();
   if (ctx_->backend() == Backend::kPlain) {
-    const auto& ap = a.body().plain;
-    const auto& bp = b.body().plain;
+    const FieldVec& ap = a.fields_;
+    const FieldVec& bp = b.fields_;
     KGRID_CHECK(ap.size() <= 1 && bp.size() <= 1,
                 "sub_single on multi-field cipher");
     const std::uint64_t x = ap.empty() ? 0 : ap[0];
     const std::uint64_t y = bp.empty() ? 0 : bp[0];
-    cb.plain.assign(1, x - y);
-    cb.salt = a.body().salt ^ (b.body().salt >> 1) ^ 0xbf58476d1ce4e5b9ull;
+    c.fields_.assign(1, x - y);
+    c.salt_ = a.salt_ ^ (b.salt_ >> 1) ^ 0xbf58476d1ce4e5b9ull;
     return c;
   }
   const PaillierPublicKey& pk = ctx_->key_.pub;
@@ -286,12 +275,10 @@ Cipher EvalHandle::scalar_mul(std::uint64_t m, const Cipher& a) const {
   KGRID_CHECK(a.backend() == ctx_->backend(), "cipher backend mismatch");
   obs::crypto_counters().hom_scalar_muls.inc();
   Cipher c;
-  Cipher::Body& cb = c.own();
-  cb.backend = ctx_->backend();
   if (ctx_->backend() == Backend::kPlain) {
-    cb.plain = a.body().plain;
-    for (auto& f : cb.plain) f *= m;
-    cb.salt = a.body().salt * 0x94d049bb133111ebull + m;
+    c.fields_ = a.fields_;
+    for (auto& f : c.fields_) f *= m;
+    c.salt_ = a.salt_ * 0x94d049bb133111ebull + m;
     return c;
   }
   const PaillierPublicKey& pk = ctx_->key_.pub;
@@ -302,9 +289,10 @@ Cipher EvalHandle::scalar_mul(std::uint64_t m, const Cipher& a) const {
 Cipher EvalHandle::rerandomize(const Cipher& a, Rng& rng) const {
   KGRID_CHECK(a.backend() == ctx_->backend(), "cipher backend mismatch");
   obs::crypto_counters().hom_rerandomizes.inc();
-  Cipher c = a;  // COW: the clone happens inside own() below
+  Cipher c;
   if (ctx_->backend() == Backend::kPlain) {
-    c.own().salt = rng();
+    c.fields_ = a.fields_;
+    c.salt_ = rng();
     return c;
   }
   const PaillierPublicKey& pk = ctx_->key_.pub;
@@ -350,11 +338,9 @@ std::vector<Cipher> EvalHandle::rerandomize_batch(
     std::vector<Form> forms =
         pk.rerandomize_form_batch(cas, std::span(rngs).subspan(lo, len));
     std::vector<BigInt> values = pk.mont_n2->from_form_batch(forms);
-    for (std::size_t i = 0; i < len; ++i) {
-      out[lo + i] = *items[lo + i];  // COW alias; cloned inside own() below
+    for (std::size_t i = 0; i < len; ++i)
       set_cipher_form_value(out[lo + i], std::move(forms[i]),
                             std::move(values[i]));
-    }
   });
   return out;
 }
@@ -363,7 +349,7 @@ void EvalHandle::rerandomize_into(Cipher& c, Rng& rng) const {
   KGRID_CHECK(c.backend() == ctx_->backend(), "cipher backend mismatch");
   obs::crypto_counters().hom_rerandomizes.inc();
   if (ctx_->backend() == Backend::kPlain) {
-    c.own().salt = rng();
+    c.salt_ = rng();
     return;
   }
   const PaillierPublicKey& pk = ctx_->key_.pub;
@@ -382,17 +368,15 @@ Cipher EvalHandle::aggregate_rerandomized(
     obs::crypto_counters().hom_rerandomizes.inc(items.size());
     obs::crypto_counters().hom_adds.inc(items.size() - 1);
     Cipher c;
-    Cipher::Body& cb = c.own();
-    cb.backend = Backend::kPlain;
     std::size_t n_fields = 0;
     for (const Cipher* p : items) {
       KGRID_CHECK(p->backend() == Backend::kPlain, "cipher backend mismatch");
-      n_fields = std::max(n_fields, p->body().plain.size());
+      n_fields = std::max(n_fields, p->fields_.size());
     }
-    cb.plain.resize(n_fields);
+    c.fields_.resize(n_fields);
     for (const Cipher* p : items) {
-      const auto& ap = p->body().plain;
-      for (std::size_t i = 0; i < ap.size(); ++i) cb.plain[i] += ap[i];
+      const FieldVec& ap = p->fields_;
+      for (std::size_t i = 0; i < ap.size(); ++i) c.fields_[i] += ap[i];
     }
     std::uint64_t salt = 0;
     for (std::size_t i = 0; i < items.size(); ++i) {
@@ -401,7 +385,7 @@ Cipher EvalHandle::aggregate_rerandomized(
       salt = i == 0 ? fresh
                     : (salt ^ (fresh << 1) ^ 0x9e3779b97f4a7c15ull);
     }
-    cb.salt = salt;
+    c.salt_ = salt;
     return c;
   }
   std::vector<Cipher> fresh = rerandomize_batch(items, rng, executor);
@@ -413,11 +397,9 @@ Cipher EvalHandle::aggregate_rerandomized(
 Cipher EvalHandle::zero(std::size_t n_fields, Rng& rng) const {
   obs::crypto_counters().hom_encrypts.inc();
   Cipher c;
-  Cipher::Body& cb = c.own();
-  cb.backend = ctx_->backend();
   if (ctx_->backend() == Backend::kPlain) {
-    cb.plain.assign(n_fields, 0);
-    cb.salt = rng();
+    c.fields_.assign(n_fields, 0);
+    c.salt_ = rng();
     return c;
   }
   // Enc(0) is constructible from public material alone (1 * r^n); this does
@@ -435,8 +417,7 @@ std::span<const std::uint64_t> DecryptKey::plain_fields(
               "plain_fields needs the plain backend");
   KGRID_CHECK(c.backend() == Backend::kPlain, "cipher backend mismatch");
   obs::crypto_counters().hom_decrypts.inc();
-  const auto& plain = c.body().plain;
-  return {plain.data(), plain.size()};
+  return {c.fields_.data(), c.fields_.size()};
 }
 
 std::vector<std::uint64_t> DecryptKey::decrypt(const Cipher& c,
@@ -444,12 +425,11 @@ std::vector<std::uint64_t> DecryptKey::decrypt(const Cipher& c,
   KGRID_CHECK(c.backend() == ctx_->backend(), "cipher backend mismatch");
   obs::crypto_counters().hom_decrypts.inc();
   if (ctx_->backend() == Backend::kPlain) {
-    const auto& plain = c.body().plain;
-    std::vector<std::uint64_t> out(plain.begin(), plain.end());
+    std::vector<std::uint64_t> out(c.fields_.begin(), c.fields_.end());
     out.resize(n_fields, 0);
     return out;
   }
-  return unpack_fields(ctx_->key_.decrypt(c.body().paillier), n_fields);
+  return unpack_fields(ctx_->key_.decrypt(c.paillier_->value), n_fields);
 }
 
 std::vector<std::vector<std::uint64_t>> DecryptKey::decrypt_batch(
@@ -471,7 +451,7 @@ std::vector<std::vector<std::uint64_t>> DecryptKey::decrypt_batch(
     for (std::size_t i = 0; i < len; ++i) {
       KGRID_CHECK(items[lo + i]->backend() == ctx_->backend(),
                   "cipher backend mismatch");
-      cs[i] = items[lo + i]->body().paillier;
+      cs[i] = items[lo + i]->paillier_->value;
     }
     const std::vector<BigInt> ms = ctx_->key_.decrypt_batch(cs);
     for (std::size_t i = 0; i < len; ++i)
@@ -484,11 +464,10 @@ std::int64_t DecryptKey::decrypt_signed(const Cipher& c) const {
   KGRID_CHECK(c.backend() == ctx_->backend(), "cipher backend mismatch");
   obs::crypto_counters().hom_decrypts.inc();
   if (ctx_->backend() == Backend::kPlain) {
-    const auto& plain = c.body().plain;
-    const std::uint64_t v = plain.empty() ? 0 : plain[0];
+    const std::uint64_t v = c.fields_.empty() ? 0 : c.fields_[0];
     return static_cast<std::int64_t>(v);
   }
-  return ctx_->key_.decrypt_signed(c.body().paillier).to_i64();
+  return ctx_->key_.decrypt_signed(c.paillier_->value).to_i64();
 }
 
 }  // namespace kgrid::hom

@@ -17,6 +17,9 @@
 //     refreshes, so equal plaintexts still yield distinct ciphers exactly as
 //     rerandomization guarantees. It exists because the paper's experiments
 //     simulate thousands of resources; see DESIGN.md "Faithfulness notes".
+//     A plain cipher is an inline value (fields and salt inside the Cipher),
+//     so the stand-in pays no allocation or refcount per op; only Paillier
+//     ciphers share a copy-on-write body (see Cipher).
 //
 // Both backends share the packed-field plaintext representation of
 // packing.hpp, so all protocol logic (shares, timestamps, k-gating) is
@@ -41,13 +44,14 @@ namespace kgrid::hom {
 
 enum class Backend { kPlain, kPaillier };
 
-/// Field storage for plain-backend cipher bodies: a small-buffer vector of
-/// packed 64-bit fields. Counter layouts are a handful of fields (one per
-/// tree neighbor plus spares), so the common case lives inline in the Body
-/// allocation and a plain-backend homomorphic op allocates nothing beyond
-/// the body itself; high-degree hub layouts spill to the heap. API is the
-/// std::vector subset the hom layer uses — value semantics included, since
-/// Body copies (COW clones) must deep-copy the fields.
+/// Field storage for plain-backend ciphers: a small-buffer vector of packed
+/// 64-bit fields. Counter layouts are a handful of fields (one per tree
+/// neighbor plus spares), so the common case lives inside the Cipher itself
+/// and a plain-backend homomorphic op allocates nothing; high-degree hub
+/// layouts spill to the heap. The heap pointer shares storage with the
+/// inline buffer, which keeps a plain Cipher (and with it every in-flight
+/// SecureRuleMessage event slot) compact. API is the std::vector subset the
+/// hom layer uses, value semantics included.
 class FieldVec {
  public:
   // Sized for protocol counters: n_fields = 4 + degree + 1, and spanning
@@ -56,34 +60,24 @@ class FieldVec {
 
   FieldVec() = default;
   FieldVec(const FieldVec& o) { assign(o.begin(), o.end()); }
-  FieldVec(FieldVec&& o) noexcept { *this = std::move(o); }
+  FieldVec(FieldVec&& o) noexcept { steal(o); }
   FieldVec& operator=(const FieldVec& o) {
     if (this != &o) assign(o.begin(), o.end());
     return *this;
   }
   FieldVec& operator=(FieldVec&& o) noexcept {
-    if (this == &o) return *this;
-    release();
-    if (o.heap_ != nullptr) {
-      heap_ = o.heap_;
-      cap_ = o.cap_;
-      o.heap_ = nullptr;
-      o.cap_ = kInline;
-    } else {
-      for (std::size_t i = 0; i < o.size_; ++i) inline_[i] = o.inline_[i];
+    if (this != &o) {
+      release();
+      steal(o);
     }
-    size_ = o.size_;
-    o.size_ = 0;
     return *this;
   }
   ~FieldVec() { release(); }
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  std::uint64_t* data() { return heap_ != nullptr ? heap_ : inline_; }
-  const std::uint64_t* data() const {
-    return heap_ != nullptr ? heap_ : inline_;
-  }
+  std::uint64_t* data() { return on_heap() ? heap_ : inline_; }
+  const std::uint64_t* data() const { return on_heap() ? heap_ : inline_; }
   std::uint64_t* begin() { return data(); }
   std::uint64_t* end() { return data() + size_; }
   const std::uint64_t* begin() const { return data(); }
@@ -96,7 +90,7 @@ class FieldVec {
   }
 
   void push_back(std::uint64_t v) {
-    if (size_ == cap_) grow(size_ * 2);
+    if (size_ == cap_) grow(std::size_t{size_} * 2);
     data()[size_++] = v;
   }
 
@@ -106,14 +100,14 @@ class FieldVec {
     reserve(n);
     std::uint64_t* d = data();
     for (std::size_t i = size_; i < n; ++i) d[i] = 0;
-    size_ = n;
+    size_ = static_cast<std::uint32_t>(n);
   }
 
   void assign(std::size_t n, std::uint64_t v) {
     reserve(n);
     std::uint64_t* d = data();
     for (std::size_t i = 0; i < n; ++i) d[i] = v;
-    size_ = n;
+    size_ = static_cast<std::uint32_t>(n);
   }
 
   template <class It>
@@ -122,7 +116,7 @@ class FieldVec {
     reserve(n);
     std::uint64_t* d = data();
     for (std::size_t i = 0; i < n; ++i) d[i] = static_cast<std::uint64_t>(first[i]);
-    size_ = n;
+    size_ = static_cast<std::uint32_t>(n);
   }
 
   friend bool operator==(const FieldVec& a, const FieldVec& b) {
@@ -135,135 +129,89 @@ class FieldVec {
   }
 
  private:
+  bool on_heap() const { return cap_ > kInline; }
+
   void grow(std::size_t want) {
-    const std::size_t ncap = want < 2 * cap_ ? 2 * cap_ : want;
+    const std::size_t ncap = want < 2 * std::size_t{cap_} ? 2 * std::size_t{cap_} : want;
     auto* nd = new std::uint64_t[ncap];
     const std::uint64_t* d = data();
     for (std::size_t i = 0; i < size_; ++i) nd[i] = d[i];
     release();
     heap_ = nd;
-    cap_ = ncap;
+    cap_ = static_cast<std::uint32_t>(ncap);
   }
   void release() {
-    delete[] heap_;
-    heap_ = nullptr;
+    if (on_heap()) delete[] heap_;
     cap_ = kInline;
   }
-
-  std::uint64_t inline_[kInline] = {};
-  std::uint64_t* heap_ = nullptr;
-  std::size_t size_ = 0;
-  std::size_t cap_ = kInline;
-};
-
-namespace detail {
-
-/// Allocator recycling fixed-size blocks through a thread-local free list.
-/// Cipher bodies (their shared_ptr control blocks, via allocate_shared) are
-/// created and destroyed millions of times per fig3-scale run — every
-/// encrypt, COW clone, and aggregate mints one — and the general-purpose
-/// allocator is a measurable slice of the wall time. Each thread keeps its
-/// own list, so no locking; a block freed on a different thread than it was
-/// allocated on simply migrates between pools. Lists are bounded and drain
-/// their blocks at thread exit.
-template <class T>
-class BlockPoolAlloc {
- public:
-  using value_type = T;
-
-  BlockPoolAlloc() = default;
-  template <class U>
-  BlockPoolAlloc(const BlockPoolAlloc<U>&) noexcept {}
-
-  T* allocate(std::size_t n) {
-    if (n == 1) {
-      auto& free = pool().free;
-      if (!free.empty()) {
-        T* p = static_cast<T*>(free.back());
-        free.pop_back();
-        return p;
-      }
+  /// Take o's fields (its heap block, or a copy of its inline ones) and
+  /// leave o empty; *this must hold no heap block.
+  void steal(FieldVec& o) {
+    if (o.on_heap()) {
+      heap_ = o.heap_;
+      cap_ = o.cap_;
+      o.cap_ = kInline;
+    } else {
+      for (std::size_t i = 0; i < o.size_; ++i) inline_[i] = o.inline_[i];
     }
-    return static_cast<T*>(::operator new(n * sizeof(T)));
+    size_ = o.size_;
+    o.size_ = 0;
   }
 
-  void deallocate(T* p, std::size_t n) noexcept {
-    if (n == 1) {
-      auto& free = pool().free;
-      if (free.size() < kMaxFree) {
-        free.push_back(p);
-        return;
-      }
-    }
-    ::operator delete(p);
-  }
-
-  template <class U>
-  bool operator==(const BlockPoolAlloc<U>&) const noexcept {
-    return true;
-  }
-
- private:
-  // Bound chosen to cover a shard's in-flight ciphers between drains while
-  // capping idle-thread retention at ~kMaxFree * sizeof(Body) per thread.
-  static constexpr std::size_t kMaxFree = 4096;
-
-  struct Pool {
-    std::vector<void*> free;
-    ~Pool() {
-      for (void* p : free) ::operator delete(p);
-    }
+  union {
+    std::uint64_t inline_[kInline] = {};  // live while cap_ == kInline
+    std::uint64_t* heap_;                 // live while cap_ > kInline
   };
-
-  static Pool& pool() {
-    static thread_local Pool tl;
-    return tl;
-  }
+  std::uint32_t size_ = 0;
+  std::uint32_t cap_ = kInline;
 };
-
-}  // namespace detail
 
 /// An opaque additively-homomorphic ciphertext over packed 64-bit fields.
 ///
-/// The representation is copy-on-write: a Cipher is one shared_ptr to an
-/// immutable-once-shared body, so copying — a resource forwarding the same
-/// SecureRuleMessage to every neighbor, a broker storing the received
-/// counter per edge — is a refcount bump instead of a deep copy of a
-/// 2048-bit integer. Only the homomorphic ops (hom.cpp) write bodies, and
-/// they clone first when the body is shared (`own`), so aliases never
-/// observe a value change. Sharing is an implementation detail: two ciphers
-/// compare by content, never by identity.
+/// A plain-backend cipher is a value: its fields and salt live inline, so
+/// encrypting, adding, rerandomizing, copying or storing one touches no
+/// shared state and (below FieldVec::kInline fields) no allocator. A
+/// Paillier cipher is one shared_ptr to a copy-on-write body holding the
+/// integer mod n^2 and its Montgomery form, so copying it — a
+/// resource forwarding the same SecureRuleMessage to every neighbor, a
+/// broker storing the received counter per edge — is a refcount bump. The
+/// homomorphic ops (hom.cpp) never write through a shared body: each
+/// installs its result in a body of its own, so aliases never observe a
+/// value change. The backend is implied by the representation (a cipher
+/// with a Paillier body is a Paillier cipher; a default-constructed one is
+/// the empty plain cipher). Sharing is an implementation detail: two
+/// ciphers compare by content, never by identity.
 class Cipher {
  public:
   Cipher() = default;
 
-  Backend backend() const { return body().backend; }
-  bool empty() const {
-    return body().backend == Backend::kPlain && body().plain.empty();
+  Backend backend() const {
+    return paillier_ != nullptr ? Backend::kPaillier : Backend::kPlain;
   }
+  bool empty() const { return paillier_ == nullptr && fields_.empty(); }
 
   /// Ciphertext equality. Distinct encryptions/rerandomizations of the same
   /// plaintext compare unequal (probabilistic encryption), which tests rely
   /// on to assert that brokers cannot detect unchanged counters. The
   /// Montgomery-form cache is deliberately excluded: it is a redundant
-  /// representation of `paillier`, present or absent depending on the op
-  /// history.
+  /// representation of the Paillier value, present or absent depending on
+  /// the op history.
   friend bool operator==(const Cipher& a, const Cipher& b) {
-    if (a.body_ == b.body_) return true;  // COW aliases (and empty == empty)
-    const Body& x = a.body();
-    const Body& y = b.body();
-    return x.backend == y.backend && x.plain == y.plain && x.salt == y.salt &&
-           x.paillier == y.paillier;
+    if (a.paillier_ == nullptr || b.paillier_ == nullptr)
+      return a.paillier_ == b.paillier_ && a.fields_ == b.fields_ &&
+             a.salt_ == b.salt_;
+    return a.paillier_ == b.paillier_ ||
+           a.paillier_->value == b.paillier_->value;
   }
   friend bool operator!=(const Cipher& a, const Cipher& b) { return !(a == b); }
 
-  /// Force a private copy of the body — the value semantics every Cipher
-  /// had before copy-on-write. Callers that need copy isolation (the
-  /// sharded engine's cross-lane mailboxes) use this; everything else
-  /// shares bodies freely.
+  /// Give a Paillier cipher a private copy of its body. Callers that need
+  /// copy isolation (the sharded engine's cross-lane mailboxes) use this;
+  /// everything else shares bodies freely. A plain cipher is already a
+  /// value, so this is a no-op for it.
   void detach() {
-    if (body_ != nullptr && body_.use_count() > 1)
-      body_ = std::allocate_shared<Body>(detail::BlockPoolAlloc<Body>{}, *body_);
+    if (paillier_ != nullptr && paillier_.use_count() > 1)
+      paillier_ = std::make_shared<PaillierBody>(*paillier_);
   }
 
  private:
@@ -280,46 +228,39 @@ class Cipher {
                                     wide::BigInt value);
   // Wire codec (hom.cpp; framing handbook: docs/LIVE.md). The Montgomery
   // form cache is deliberately not serialized — it is a redundant
-  // representation of `paillier` and is rebuilt lazily on first use, so a
+  // representation of the value and is rebuilt lazily on first use, so a
   // decoded cipher is functionally identical to the encoded one.
   friend void encode_cipher(util::ByteWriter& w, const Cipher& c);
   friend bool decode_cipher(util::ByteReader& r, Cipher* out);
 
-  struct Body {
-    Backend backend = Backend::kPlain;
-    FieldVec plain;          // plain backend: field values (inline small-buf)
-    std::uint64_t salt = 0;  // plain backend: rerandomization witness
-    wide::BigInt paillier;             // paillier backend: cipher mod n^2
-    // Cache of `paillier` in Montgomery form over n^2, so chained
-    // homomorphic ops skip the per-op R-conversions. Populated lazily on
-    // first use and eagerly by every op that produces a Paillier cipher;
-    // always consistent with `paillier` when attached. Mutating the cache
-    // through a shared body is safe only under the batch APIs' pre-warm
-    // discipline (rerandomize_batch warms serially before going parallel).
-    mutable wide::Montgomery::Form paillier_form;
+  struct PaillierBody {
+    wide::BigInt value;  // the cipher mod n^2
+    // Cache of `value` in Montgomery form over n^2, so chained homomorphic
+    // ops skip the per-op R-conversions. Populated lazily on first use and
+    // eagerly by every op that produces a cipher; always consistent with
+    // `value` when attached. Mutating the cache through a shared body is
+    // safe only under the batch APIs' pre-warm discipline
+    // (rerandomize_batch warms serially before going parallel).
+    mutable wide::Montgomery::Form form;
   };
 
-  /// Read view; a default-constructed Cipher reads as the empty plain body.
-  const Body& body() const {
-    static const Body kEmpty;
-    return body_ == nullptr ? kEmpty : *body_;
+  /// The body an op installs its result in: this cipher's own when no
+  /// other cipher shares it, a fresh one otherwise. Never a clone — every
+  /// caller overwrites both fields.
+  PaillierBody& paillier_for_write() {
+    if (paillier_ == nullptr || paillier_.use_count() > 1)
+      paillier_ = std::make_shared<PaillierBody>();
+    return *paillier_;
   }
 
-  /// Write view: materialize an owned body, cloning if currently shared.
-  Body& own() {
-    if (body_ == nullptr)
-      body_ = std::allocate_shared<Body>(detail::BlockPoolAlloc<Body>{});
-    else if (body_.use_count() > 1)
-      body_ = std::allocate_shared<Body>(detail::BlockPoolAlloc<Body>{}, *body_);
-    return *body_;
-  }
-
-  std::shared_ptr<Body> body_;
+  FieldVec fields_;          // plain backend: field values
+  std::uint64_t salt_ = 0;   // plain backend: rerandomization witness
+  std::shared_ptr<PaillierBody> paillier_;  // Paillier backend; null if plain
 };
 
 /// Serialize a cipher for the live wire (docs/LIVE.md "Frame format").
-/// Layout: u8 backend tag (0 = plain, 1 = Paillier); plain bodies as a
-/// varint field count, varint fields, and the u64 salt; Paillier bodies as
+/// Layout: u8 backend tag (0 = plain, 1 = Paillier); plain ciphers as a
+/// varint field count, varint fields, and the u64 salt; Paillier ciphers as
 /// a varint limb count followed by little-endian u64 limbs.
 void encode_cipher(util::ByteWriter& w, const Cipher& c);
 /// Returns false on truncation, an unknown backend tag, or a limb count
@@ -360,8 +301,8 @@ class EvalHandle {
   Cipher add(const Cipher& a, const Cipher& b) const;
 
   /// In-place accumulate: `acc = add(acc, b)`, bit for bit (same fields,
-  /// same salt derivation, same Paillier form math), but mutating acc's
-  /// body instead of allocating a fresh one when acc is uniquely owned.
+  /// same salt derivation, same Paillier form math), but writing into acc
+  /// (a Paillier acc reuses its body when no other cipher shares it).
   /// The aggregation folds in broker.cpp run O(degree) of these per rule
   /// per step, which made the out-of-place add the hot allocation site.
   void add_into(Cipher& acc, const Cipher& b) const;
@@ -379,7 +320,7 @@ class EvalHandle {
   Cipher rerandomize(const Cipher& a, Rng& rng) const;
 
   /// In-place `c = rerandomize(c, rng)` — same randomness draws and result,
-  /// minus the copy-on-write clone when c is uniquely owned. Used on the
+  /// minus the copy (for a plain cipher, one salt write). Used on the
   /// outgoing-message path, where the cipher was just built and is never
   /// aliased.
   void rerandomize_into(Cipher& c, Rng& rng) const;
@@ -400,8 +341,8 @@ class EvalHandle {
   /// builds every flush. Bit-identical to the two-call sequence — same Rng
   /// splits and draws, same salt chain, same op counters — but the plain
   /// backend computes the field sum and the salt fold directly, skipping
-  /// the n intermediate cipher bodies the unfused path allocates and
-  /// immediately discards. Precondition: items is non-empty.
+  /// the n intermediate ciphers the unfused path builds and immediately
+  /// discards. Precondition: items is non-empty.
   Cipher aggregate_rerandomized(std::span<const Cipher* const> items, Rng& rng,
                                 sim::Executor* executor = nullptr) const;
 
@@ -432,10 +373,11 @@ class DecryptKey {
   /// is a field read rather than a CRT exponentiation.
   bool is_plain() const;
 
-  /// Plain backend only: zero-copy view of the decrypted fields (the body's
-  /// field vector; callers zero-extend short reads themselves). Counts as a
-  /// decryption in the obs counters exactly like decrypt(). The span aliases
-  /// the cipher body — valid until the cipher is mutated or destroyed.
+  /// Plain backend only: zero-copy view of the decrypted fields (the
+  /// cipher's field vector; callers zero-extend short reads themselves).
+  /// Counts as a decryption in the obs counters exactly like decrypt(). The
+  /// span aliases the cipher — valid until the cipher is mutated, moved or
+  /// destroyed.
   std::span<const std::uint64_t> plain_fields(const Cipher& c) const;
 
  private:

@@ -5,9 +5,10 @@
 // Majority-Rule baseline — so the engine stores payloads in a variant over
 // exactly those types instead of a heap-allocated std::any. A send of a
 // protocol message is then allocation-free (the message moves into the
-// pooled event slot, and a SecureRuleMessage's ciphertext body is shared
-// copy-on-write, see crypto/hom.hpp), and delivery dispatch is an index
-// check instead of a typeid comparison.
+// pooled event slot; a SecureRuleMessage's plain-backend ciphertext lives
+// inline in it, and a Paillier one is a copy-on-write body shared by
+// refcount, see crypto/hom.hpp), and delivery dispatch is an index check
+// instead of a typeid comparison.
 //
 // Everything else — test fixtures, ad-hoc harness messages — rides in the
 // std::any escape hatch, which restores the exact pre-variant semantics
@@ -95,9 +96,9 @@ class Payload {
   }
 
   /// Re-materialize value semantics for any copy-on-write message body
-  /// (today only a SecureRuleMessage's ciphertext). The sharded engine
-  /// calls this on every cross-lane mailbox entry, so no cipher body is
-  /// shared between shards (docs/SHARDING.md "Mailbox lifecycle").
+  /// (today only a SecureRuleMessage's Paillier ciphertext). The sharded
+  /// engine calls this on every cross-lane mailbox entry, so no cipher body
+  /// is shared between shards (docs/SHARDING.md "Mailbox lifecycle").
   void detach() {
     if (auto* msg = std::get_if<core::SecureRuleMessage>(&v_))
       msg->counter.detach();

@@ -18,10 +18,16 @@ parsed by that bench's source (`bench/<binary>.cpp`) or by
 argv prefix (`"--flag`). google-benchmark's own `--benchmark_*` flags are
 exempt.
 
+And, over EXPERIMENTS.md's live throughput table (the `| workload | frame
+| msgs/s | ...` table): every row's msgs/s cell equals the committed
+BENCH_live_throughput.json rate of that workload, rounded to the precision
+the cell prints (`1.28 M/s` must be 1.275M..1.285M).
+
 Exit status is the number of problems (0 = clean). No third-party
 dependencies; stdlib only, so the CI step is one `python3 tools/docs_lint.py`.
 """
 
+import json
 import re
 import sys
 from pathlib import Path
@@ -106,6 +112,43 @@ def lint_flags(path: Path) -> list:
     return errors
 
 
+LIVE_TABLE_HEADER = "| workload | frame | msgs/s | MB/s | p50 | p99 | p999 |"
+RATE_RE = re.compile(r"([0-9]+(?:\.([0-9]+))?)\s*([kM]?)/s")
+RATE_SCALE = {"": 1.0, "k": 1e3, "M": 1e6}
+
+
+def lint_live_table(path: Path, artifact: Path) -> list:
+    """The live throughput table's msgs/s cells match the artifact."""
+    where = path.relative_to(ROOT)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if LIVE_TABLE_HEADER not in lines:
+        return [f"{where}: live throughput table not found"]
+    rates = {row["workload"]: row["msgs_per_s"] for row in
+             json.loads(artifact.read_text(encoding="utf-8"))["series"]}
+    errors = []
+    for line in lines[lines.index(LIVE_TABLE_HEADER) + 2:]:
+        if not line.startswith("|"):
+            break
+        cells = [c.strip() for c in CELL_SPLIT_RE.split(line.strip().strip("|"))]
+        workload = re.search(r"`([^`]+)`", cells[0])
+        rate = RATE_RE.search(cells[2])
+        if workload is None or rate is None:
+            errors.append(f"{where}: unparsable live table row: {line}")
+            continue
+        name = workload.group(1)
+        if name not in rates:
+            errors.append(f"{where}: live table row {name} is not in "
+                          f"{artifact.name}")
+            continue
+        decimals = len(rate.group(2) or "")
+        measured = round(rates[name] / RATE_SCALE[rate.group(3)], decimals)
+        if measured != float(rate.group(1)):
+            errors.append(f"{where}: live table says {name} runs at "
+                          f"{rate.group(0)}, {artifact.name} says "
+                          f"{measured:.{decimals}f} {rate.group(3)}/s")
+    return errors
+
+
 # Source-paper retrieval artifacts, not handbook pages: they carry scraped
 # links (figures, arxiv assets) that are dead by construction.
 EXCLUDE = {"PAPER.md", "PAPERS.md", "SNIPPETS.md", "ISSUE.md"}
@@ -118,6 +161,8 @@ def main() -> int:
     for f in files:
         errors.extend(lint_file(f))
     errors.extend(lint_flags(ROOT / "docs" / "BENCHMARKS.md"))
+    errors.extend(lint_live_table(ROOT / "EXPERIMENTS.md",
+                                  ROOT / "BENCH_live_throughput.json"))
     for e in errors:
         print(e, file=sys.stderr)
     print(f"docs_lint: {len(files)} files, {len(errors)} problem(s)")
