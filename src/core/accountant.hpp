@@ -50,7 +50,7 @@ class Accountant {
 
   // -- Local database management (incorruptible by assumption) --
 
-  void append(data::Transaction t) { counter_.append(std::move(t)); }
+  void append(const data::Transaction& t) { counter_.append(t); }
   /// Register a rule for counting; returns its id in the resource's
   /// candidate table (no-op if already registered).
   arm::CandId add_rule(const arm::Candidate& c) { return counter_.add_rule(c); }

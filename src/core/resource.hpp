@@ -171,7 +171,7 @@ class SecureResource : public sim::Entity {
     maybe_activate_attack();
     for (std::size_t i = 0;
          i < config_.arrivals_per_step && future_cursor_ < future_.size(); ++i)
-      accountant_.append(std::move(future_[future_cursor_++]));
+      accountant_.append(future_[future_cursor_++]);
 
     engine.offload(self_entity_, [this]() -> sim::Engine::Apply {
       accountant_.advance(

@@ -38,6 +38,8 @@ void batch_for(sim::Executor* executor, std::size_t n, const Fn& fn) {
 
 /// One child Rng per item, split off in index order before any dispatch, so
 /// the parent's draw count and every child stream are thread-count-invariant.
+/// (Only the plain backend's salts read the children; Paillier blinding
+/// factors come from the key's RandomizerPool in take() order.)
 std::vector<Rng> split_per_item(Rng& rng, std::size_t n) {
   std::vector<Rng> rngs;
   rngs.reserve(n);

@@ -281,8 +281,12 @@ class EncryptKey {
   /// Encrypt many plaintexts in one call, optionally spreading the modexps
   /// across executor lanes. Randomness discipline (shared by every batch
   /// API): one child Rng is split off `rng` per item, in index order, before
-  /// any work is dispatched — the parent draw count and every child stream
-  /// are pure functions of the batch contents, independent of thread count.
+  /// any work is dispatched, so the parent's draw count is a pure function
+  /// of the batch size. The plain backend salts from the child streams, so
+  /// its results are thread-count-invariant too. Paillier takes every
+  /// blinding factor from the key's RandomizerPool::take() stream instead
+  /// (paillier.hpp): its ciphertext bits depend on pool state and, with
+  /// several executor lanes, on which item draws which factor.
   std::vector<Cipher> encrypt_batch(
       std::span<const std::vector<std::uint64_t>> items, Rng& rng,
       sim::Executor* executor = nullptr) const;
@@ -319,10 +323,12 @@ class EvalHandle {
   /// the value changed (paper §5.2).
   Cipher rerandomize(const Cipher& a, Rng& rng) const;
 
-  /// In-place `c = rerandomize(c, rng)` — same randomness draws and result,
-  /// minus the copy (for a plain cipher, one salt write). Used on the
-  /// outgoing-message path, where the cipher was just built and is never
-  /// aliased.
+  /// In-place `c = rerandomize(c, rng)`, minus the copy (for a plain
+  /// cipher, one salt write): the same draws from `rng` and, for a plain
+  /// cipher, the same result. A Paillier cipher takes its factor from the
+  /// key's RandomizerPool, so it matches rerandomize() only from the same
+  /// pool state. Used on the outgoing-message path, where the cipher was
+  /// just built and is never aliased.
   void rerandomize_into(Cipher& c, Rng& rng) const;
 
   /// Enc(0) with `n_fields` zero fields, usable as an aggregation seed.

@@ -5,8 +5,9 @@
 // Itemsets are sorted unique sequences so subset tests are linear merges and
 // itemsets can key hash maps. The container is a small-buffer vector: rule
 // itemsets are a handful of items, and candidates are copied into every
-// protocol message and hashed on every vote-table lookup, so keeping them
-// heap-free is a measurable win on the fig3-scale sweeps.
+// protocol message and hashed once per received message (to intern them in
+// the resource's arm::CandidateTable), so keeping them heap-free is a
+// measurable win on the fig3-scale sweeps.
 #pragma once
 
 #include <algorithm>

@@ -158,7 +158,7 @@ class MajorityRuleResource : public sim::Entity {
       for (std::size_t i = 0;
            i < config_.arrivals_per_step && future_cursor_ < future_.size();
            ++i)
-        counter_.append(std::move(future_[future_cursor_++]));
+        counter_.append(future_[future_cursor_++]);
 
       std::vector<std::pair<arm::Candidate, MajorityNode::Outgoing>> outbox;
       const auto collect = [&outbox](const arm::Candidate& cand,
