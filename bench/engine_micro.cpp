@@ -6,9 +6,10 @@
 //
 //   * TimerStorm    — N self-rescheduling timers with jittered periods:
 //                     pure scheduler throughput, no payloads.
-//   * MessageMesh   — N entities forwarding SecureRuleMessages (candidate +
-//                     Paillier ciphertext) around a ring: the payload path
-//                     (typed variant + pooled slots + COW cipher bodies).
+//   * MessageMesh   — N entities forwarding SecureRuleMessages (per-edge
+//                     candidate id + Paillier ciphertext) around a ring:
+//                     the payload path (typed variant + pooled slots + COW
+//                     cipher bodies).
 //   * OffloadHeavy  — N entities running every step through offload():
 //                     the pending/barrier machinery plus the queue.
 //
@@ -48,7 +49,6 @@
 #include <string_view>
 #include <vector>
 
-#include "arm/rules.hpp"
 #include "core/messages.hpp"
 #include "crypto/hom.hpp"
 #include "obs/bench_report.hpp"
@@ -107,18 +107,20 @@ void BM_TimerStorm(benchmark::State& state) {
 }
 BENCHMARK(BM_TimerStorm)->Arg(1024)->Arg(4096)->Arg(65536);
 
-/// The message the figure benches actually push through the engine: a rule
-/// candidate plus a Paillier ciphertext. Built once (keygen + one
-/// encryption) and copied into every in-flight message — under COW a copy
-/// is a refcount bump. 1024-bit
-/// keys match SecureGridConfig's default, so the per-hop body size is the
-/// figure benches' real one.
+/// The message the figure benches push through the engine in steady
+/// state: a per-edge candidate id (the candidate was announced on the
+/// link's first message for it) plus a Paillier ciphertext. Built once
+/// (keygen + one encryption) and copied into every in-flight message —
+/// under COW a copy is a refcount bump. 1024-bit keys match
+/// SecureGridConfig's default, so the per-hop body size is the figure
+/// benches' real one.
 const core::SecureRuleMessage& mesh_message() {
   static const core::SecureRuleMessage msg = [] {
     Rng rng(1234);
     const hom::ContextPtr ctx = hom::Context::make_paillier(1024, rng);
-    return core::SecureRuleMessage{arm::frequency_candidate({}),
-                                   ctx->encrypt_key().encrypt_value(1, rng)};
+    return core::SecureRuleMessage{
+        /*edge_id=*/0, /*announce=*/nullptr,
+        ctx->encrypt_key().encrypt_value(1, rng)};
   }();
   return msg;
 }

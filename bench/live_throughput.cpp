@@ -10,16 +10,18 @@
 // log-bucketed histogram (obs/latency_hist.hpp), whose p50/p99/p999 land in
 // the artifact rows.
 //
-// Workloads (--workload=control|secure_plain|secure_paillier|all):
+// Workloads (--workload=control|secure_plain|all):
 //   * control         — majority::RuleMessage (candidate + vote pair): the
 //                       plaintext control-plane frame, ~40 B. This is the
 //                       acceptance workload (>= 100k msgs/s sustained on UDS
 //                       loopback, EXPERIMENTS.md).
-//   * secure_plain    — core::SecureRuleMessage with a plain-backend cipher.
-//   * secure_paillier — the same with a real 1024-bit Paillier ciphertext
-//                       (~280 B frames), the secure data plane.
+//   * secure_plain    — core::SecureRuleMessage with a plain-backend cipher,
+//                       every frame an announcing one (edge id + candidate
+//                       + cipher): the largest secure frame a link carries.
 // Candidates are mined from a Quest preset database (--preset=T5I2), so
-// frame sizes follow the paper's data, not synthetic constants.
+// frame sizes follow the paper's data, not synthetic constants. A
+// Paillier cipher would only lengthen the frame: the reactor does no crypto
+// (live_paillier in gridbench/ measures the secure grid with real keys).
 //
 // --trace=PATH[,--trace_key=KEY] additionally replays a recorded KGTRACE1
 // schedule (e.g. from fig2_convergence --trace_record --trace_schedule):
@@ -164,11 +166,9 @@ Workload make_workload(const std::string& name, const std::string& preset,
   Rng rng(97);
   hom::ContextPtr ctx;
   std::vector<hom::Cipher> ciphers;
-  if (name == "secure_plain" || name == "secure_paillier") {
-    ctx = name == "secure_plain" ? hom::Context::make_plain()
-                                 : hom::Context::make_paillier(1024, rng);
-    // A handful of distinct ciphertexts, reused round-robin: per-frame
-    // encryption would meter Paillier, not the wire.
+  if (name == "secure_plain") {
+    ctx = hom::Context::make_plain();
+    // A handful of distinct ciphertexts, reused round-robin.
     for (int i = 0; i < 16; ++i)
       ciphers.push_back(
           ctx->encrypt_key().encrypt_value(static_cast<std::uint64_t>(i), rng));
@@ -177,13 +177,16 @@ Workload make_workload(const std::string& name, const std::string& preset,
     const sim::EventRecord rec = pool_record(i, sinks);
     if (ciphers.empty()) {
       majority::RuleMessage msg;
-      msg.candidate = candidates[i];
+      msg.candidate = std::make_shared<const arm::Candidate>(candidates[i]);
       msg.vote = {static_cast<std::int64_t>(i % 257) - 128,
                   static_cast<std::int64_t>(i % 61)};
       w.frames.push_back(pool_frame(rec, sim::Payload(msg)));
     } else {
+      // Frame i announces candidate i on its link (the sinks keep no
+      // dictionary, so the announcement is decoded and dropped).
       core::SecureRuleMessage msg;
-      msg.candidate = candidates[i];
+      msg.edge_id = static_cast<std::uint32_t>(i);
+      msg.announce = std::make_shared<const arm::Candidate>(candidates[i]);
       msg.counter = ciphers[i % ciphers.size()];
       w.frames.push_back(pool_frame(rec, sim::Payload(msg)));
     }
@@ -231,7 +234,8 @@ bool trace_workload(const std::string& path, const std::string& key,
     rec.time = 0.0;
     rec.sent_at = 0.0;
     majority::RuleMessage msg;
-    msg.candidate = candidates[seq % candidates.size()];
+    msg.candidate = std::make_shared<const arm::Candidate>(
+        candidates[seq % candidates.size()]);
     msg.vote = {static_cast<std::int64_t>(seq % 100), 1};
     out->frames.push_back(pool_frame(rec, sim::Payload(msg)));
     ++seq;
@@ -378,12 +382,11 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) sink.arg("trace", obs::Json(trace_path));
 
   std::vector<Workload> workloads;
-  for (const char* name : {"control", "secure_plain", "secure_paillier"})
+  for (const char* name : {"control", "secure_plain"})
     if (workload == "all" || workload == name)
       workloads.push_back(make_workload(name, preset, sinks));
   KGRID_CHECK(!workloads.empty() || !trace_path.empty(),
-              "--workload must be control, secure_plain, secure_paillier, or "
-              "all");
+              "--workload must be control, secure_plain, or all");
   if (!trace_path.empty()) {
     Workload w;
     if (!trace_workload(trace_path, trace_key, preset, &w)) return 2;

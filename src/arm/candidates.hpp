@@ -28,13 +28,15 @@ using CandidateSet = std::unordered_set<Candidate, CandidateHash>;
 
 /// Dense id of a candidate within one resource's CandidateTable. Ids are
 /// resource-local: two resources number the same candidate differently,
-/// so an id never leaves its resource (messages carry the Candidate).
+/// so an id never leaves its resource. Messages name a candidate by the
+/// sender's per-link edge id instead, announcing the Candidate once per
+/// link (core/messages.hpp).
 using CandId = std::uint32_t;
 
 /// One resource's candidate set C, interned to dense ids in registration
 /// order (0, 1, 2, ...). Everything the resource keeps per candidate lives
 /// in flat vectors indexed by CandId; this table is the one place a
-/// Candidate is hashed, once per received message.
+/// Candidate is hashed, once per candidate announced on a link.
 ///
 /// for_each() walks the candidates in hash-table order, not id order: the
 /// order an unordered_map<Candidate, ..., CandidateHash> with the same

@@ -17,6 +17,8 @@ Broker::Broker(net::NodeId id, hom::EvalHandle eval, hom::CounterLayout layout,
               "layout too small for neighbour list");
   for (std::size_t s = 1; s <= neighbors_.size(); ++s)
     slot_by_node_.emplace(neighbors_[s - 1], s);
+  next_sent_id_.assign(layout_.degree(), 0);
+  received_ids_.resize(layout_.degree());
 }
 
 void Broker::add_neighbor(net::NodeId v) {
@@ -63,6 +65,7 @@ arm::CandId Broker::adopt(const arm::Candidate& candidate, Effects& effects) {
   KGRID_CHECK(id == votes_.size(), "candidate registered behind the broker");
   ++stats_.candidates_registered;
   votes_.emplace_back().input = eval_.zero(layout_.n_fields(), rng_);
+  shared_.push_back(std::make_shared<const arm::Candidate>(candidate));
   edges_.resize(edges_.size() + layout_.degree());
   for (std::size_t s = 0; s < neighbors_.size(); ++s) {
     EdgeState& edge = edges(id)[s];
@@ -130,7 +133,7 @@ void Broker::evaluate_edges(arm::CandId id, Effects& effects) {
   if (active_edges_.empty()) return;
   std::vector<const hom::Cipher*>& recvs = recvs_;
   recvs.clear();
-  const EdgeState* bound = edges(id);
+  EdgeState* bound = edges(id);
   for (const ActiveEdge& ae : active_edges_)
     recvs.push_back(&bound[ae.slot - 1].received);
   Controller::SfeBatch& batch = batch_;
@@ -160,8 +163,18 @@ void Broker::evaluate_edges(arm::CandId id, Effects& effects) {
     }
     ++stats_.messages_out;
     eval_.rerandomize_into(outgoing, rng_);
+    // The rule's first message on this link announces it under the link's
+    // next edge id; later ones carry the id alone.
+    EdgeState& edge = bound[slot - 1];
+    std::shared_ptr<const arm::Candidate> announce;
+    if (edge.sent_id == EdgeState::kUnsent) {
+      edge.sent_id = next_sent_id_[slot - 1]++;
+      announce = shared_[id];
+    }
     effects.messages.push_back(
-        {w, SecureRuleMessage{rule, std::move(outgoing)}});
+        {w, id,
+         SecureRuleMessage{edge.sent_id, std::move(announce),
+                           std::move(outgoing)}});
   }
 }
 
@@ -190,16 +203,37 @@ arm::CandId Broker::accept_message(net::NodeId from,
   // candidate: a sender outside the tree is dropped before it can make
   // this broker register, count, or bootstrap anything.
   const auto slot_it = slot_by_node_.find(from);
-  if (slot_it == slot_by_node_.end()) return kDropped;
-  // The message's one Candidate lookup. Algorithm 4: an unknown candidate
-  // joins C together with the frequency vote over its full itemset.
-  arm::CandId id = candidates().find(message.candidate);
-  if (id == arm::CandidateTable::kNone) {
-    id = adopt(message.candidate, effects);
-    adopt(arm::frequency_candidate(message.candidate.rule.all_items()),
-          effects);
+  if (slot_it == slot_by_node_.end()) {
+    reject(from);
+    return kDropped;
   }
-  EdgeState& edge = edges(id)[slot_it->second - 1];
+  const std::size_t slot = slot_it->second;
+  std::vector<arm::CandId>& dictionary = received_ids_[slot - 1];
+  arm::CandId id;
+  if (message.announce != nullptr) {
+    // An announcement names the link's next edge id, exactly once.
+    if (message.edge_id != dictionary.size()) {
+      reject(from);
+      return kDropped;
+    }
+    // The candidate's one lookup on this link. Algorithm 4: an unknown
+    // candidate joins C together with the frequency vote over its full
+    // itemset.
+    const arm::Candidate& candidate = *message.announce;
+    id = candidates().find(candidate);
+    if (id == arm::CandidateTable::kNone) {
+      id = adopt(candidate, effects);
+      adopt(arm::frequency_candidate(candidate.rule.all_items()), effects);
+    }
+    dictionary.push_back(id);
+  } else {
+    if (message.edge_id >= dictionary.size()) {  // never announced
+      reject(from);
+      return kDropped;
+    }
+    id = dictionary[message.edge_id];
+  }
+  EdgeState& edge = edges(id)[slot - 1];
   if (!edge.contacted) {
     edge.first_received = message.counter;
     edge.contacted = true;

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -32,6 +33,7 @@ class Broker {
  public:
   struct Outgoing {
     net::NodeId to;
+    arm::CandId candidate;  // this resource's id of the message's candidate
     SecureRuleMessage message;
   };
 
@@ -66,6 +68,11 @@ class Broker {
     std::uint64_t messages_out = 0;           // SecureRuleMessages emitted
     std::uint64_t candidates_registered = 0;  // distinct candidates adopted
     std::uint64_t edge_evaluations = 0;       // per-edge sfe_send consults
+    /// Received messages dropped as protocol violations — a sender outside
+    /// the tree, an edge id out of range, an announcement out of sequence,
+    /// or a payload that is no protocol message. Each one quarantines its
+    /// sender locally (no report is flooded).
+    std::uint64_t messages_rejected = 0;
   };
   const Stats& stats() const { return stats_; }
 
@@ -87,6 +94,14 @@ class Broker {
   }
   bool is_quarantined(net::NodeId resource) const {
     return quarantined_.contains(resource);
+  }
+
+  /// Drop a message from `from` that breaks the protocol: count it and
+  /// quarantine the sender locally. Never aborts — the input is hostile,
+  /// not a bug of this process.
+  void reject(net::NodeId from) {
+    ++stats_.messages_rejected;
+    quarantine(from);
   }
 
   /// Register a candidate (asks the accountant to start counting it).
@@ -134,8 +149,10 @@ class Broker {
 
  private:
   struct EdgeState {
+    static constexpr std::uint32_t kUnsent = UINT32_MAX;
     hom::Cipher received;        // latest counter from this neighbour
     hom::Cipher first_received;  // kept for the replay attack
+    std::uint32_t sent_id = kUnsent;  // our edge id for the rule on this link
     bool contacted = false;
   };
 
@@ -194,13 +211,16 @@ class Broker {
   Stats stats_;
 
   /// Store an incoming counter; returns the rule's id if it was accepted
-  /// (sender is a live tree neighbour), kNone otherwise. Adopts unknown
-  /// candidates from accepted senders only.
+  /// (sender is a live tree neighbour and the edge id resolves), kNone
+  /// otherwise. Adopts unknown candidates from accepted announcements only.
   arm::CandId accept_message(net::NodeId from,
                              const SecureRuleMessage& message,
                              Effects& effects);
 
   std::vector<VoteState> votes_;        // by CandId
+  /// The candidate an announcing message points at, by CandId: one shared
+  /// copy per candidate, so a message never allocates for it.
+  std::vector<std::shared_ptr<const arm::Candidate>> shared_;
   std::vector<EdgeState> edges_;        // by (CandId, slot); see edges()
   std::vector<arm::CandId> dirty_list_;  // flush order = first-touch order
   std::vector<bool> outputs_;           // by CandId; latest output answer
@@ -208,6 +228,11 @@ class Broker {
   std::unordered_map<net::NodeId, TokenInfo> tokens_;
   std::unordered_set<net::NodeId> quarantined_;
   std::unordered_map<net::NodeId, std::size_t> slot_by_node_;  // 1-based
+  /// The per-edge candidate dictionaries, by layout slot (index slot - 1).
+  /// Outbound: the next edge id to assign on that link. Inbound: the
+  /// sender's edge ids, in announcement order, mapped to our CandIds.
+  std::vector<std::uint32_t> next_sent_id_;
+  std::vector<std::vector<arm::CandId>> received_ids_;
 
   /// The consultable-edge plan shared by every rule: slot, neighbour id,
   /// and its token, for each non-quarantined neighbour whose token is

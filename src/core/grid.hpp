@@ -121,7 +121,7 @@ class SecureGrid {
           u, secure, env_.overlay.neighbors(u), crypto_, &env_.delays,
           rng.split());
       r->load_initial(env_.initial[u]);
-      r->queue_arrivals(env_.arrivals[u]);
+      r->stream_arrivals(env_.arrivals[u]);
       if (const auto it = config.attacks.find(u); it != config.attacks.end())
         r->set_attack(it->second);
       if (config.attach_monitor) r->controller().set_monitor(&monitor_);
@@ -311,7 +311,7 @@ class BaselineGrid {
       auto r = std::make_unique<majority::MajorityRuleResource>(
           u, cfg, env_.overlay.neighbors(u), &env_.delays);
       r->load_initial(env_.initial[u]);
-      r->queue_arrivals(env_.arrivals[u]);
+      r->stream_arrivals(env_.arrivals[u]);
       const sim::EntityId id = engine_.add_entity(r.get(), "baseline_resource");
       KGRID_CHECK(id == u, "entity id must equal node id");
       resources_.push_back(std::move(r));

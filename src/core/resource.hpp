@@ -11,6 +11,7 @@
 #include <any>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_set>
 
 #include "core/accountant.hpp"
@@ -88,9 +89,15 @@ class SecureResource : public sim::Entity {
     for (const auto& t : db.transactions()) accountant_.append(t);
   }
 
+  /// Stream the arrivals in place; `arrivals` must outlive the resource
+  /// (the grid passes its environment's, which it keeps for its life).
+  void stream_arrivals(std::span<const data::Transaction> arrivals) {
+    future_.view(arrivals);
+  }
+
+  /// Queue caller-handed arrivals behind the streamed ones.
   void queue_arrivals(std::vector<data::Transaction> arrivals) {
-    future_.insert(future_.end(), std::make_move_iterator(arrivals.begin()),
-                   std::make_move_iterator(arrivals.end()));
+    future_.queue(std::move(arrivals));
   }
 
   /// Seed the initial candidate set (Algorithm 4's initialization). Called
@@ -128,13 +135,16 @@ class SecureResource : public sim::Entity {
       handle_report(engine, static_cast<net::NodeId>(from), *report);
       return;
     }
-    const auto& msg = payload.get<SecureRuleMessage>();
+    const auto peer = static_cast<net::NodeId>(from);
+    const auto* msg = payload.get_if<SecureRuleMessage>();
+    if (msg == nullptr) {  // a peer sent something outside the protocol
+      broker_.reject(peer);
+      return;
+    }
     // Batched discipline stores now and evaluates at the next step
     // boundary; the event-driven discipline is Algorithm 1 verbatim.
-    apply(engine,
-          config_.event_driven
-              ? broker_.on_receive(static_cast<net::NodeId>(from), msg)
-              : broker_.store_received(static_cast<net::NodeId>(from), msg));
+    apply(engine, config_.event_driven ? broker_.on_receive(peer, *msg)
+                                       : broker_.store_received(peer, *msg));
   }
 
  private:
@@ -169,9 +179,11 @@ class SecureResource : public sim::Entity {
   void step(sim::Engine& engine) {
     ++steps_;
     maybe_activate_attack();
-    for (std::size_t i = 0;
-         i < config_.arrivals_per_step && future_cursor_ < future_.size(); ++i)
-      accountant_.append(future_[future_cursor_++]);
+    for (std::size_t i = 0; i < config_.arrivals_per_step; ++i) {
+      const data::Transaction* t = future_.next();
+      if (t == nullptr) break;
+      accountant_.append(*t);
+    }
 
     engine.offload(self_entity_, [this]() -> sim::Engine::Apply {
       accountant_.advance(
@@ -245,8 +257,7 @@ class SecureResource : public sim::Entity {
   Broker::Effects pending_flushed_;            // step-job → Apply handoff
   Broker::Effects pending_generated_effects_;  // (see step())
   bool pending_generated_ = false;
-  std::vector<data::Transaction> future_;
-  std::size_t future_cursor_ = 0;
+  data::ArrivalStream future_;
   std::unordered_set<net::NodeId> reported_;
   std::unordered_set<net::NodeId> quarantined_;
 };

@@ -4,10 +4,9 @@
 //
 // Itemsets are sorted unique sequences so subset tests are linear merges and
 // itemsets can key hash maps. The container is a small-buffer vector: rule
-// itemsets are a handful of items, and candidates are copied into every
-// protocol message and hashed once per received message (to intern them in
-// the resource's arm::CandidateTable), so keeping them heap-free is a
-// measurable win on the fig3-scale sweeps.
+// itemsets are a handful of items, and candidates are hashed and copied
+// whenever a resource interns one in its arm::CandidateTable, so keeping
+// them heap-free is a measurable win on the fig3-scale sweeps.
 #pragma once
 
 #include <algorithm>
@@ -15,6 +14,8 @@
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
+#include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -241,6 +242,38 @@ class Database {
 
  private:
   std::vector<Transaction> transactions_;
+};
+
+/// A resource's future arrivals, consumed front to back: first a view of
+/// transactions someone else keeps alive (a grid's environment holds every
+/// resource's stream for its whole life, so the resource reads it in place
+/// instead of holding a second copy), then any transactions queued into the
+/// stream's own storage.
+class ArrivalStream {
+ public:
+  /// Read `arrivals` in place, ahead of anything queued; they must outlive
+  /// the stream. Set before the first next().
+  void view(std::span<const Transaction> arrivals) { view_ = arrivals; }
+
+  /// Append caller-handed transactions behind everything already streamed.
+  void queue(std::vector<Transaction> arrivals) {
+    queued_.insert(queued_.end(), std::make_move_iterator(arrivals.begin()),
+                   std::make_move_iterator(arrivals.end()));
+  }
+
+  /// The next arrival, or null when the stream is exhausted.
+  const Transaction* next() {
+    if (next_ < view_.size()) return &view_[next_++];
+    const std::size_t i = next_ - view_.size();
+    if (i >= queued_.size()) return nullptr;
+    ++next_;
+    return &queued_[i];
+  }
+
+ private:
+  std::span<const Transaction> view_;
+  std::vector<Transaction> queued_;
+  std::size_t next_ = 0;
 };
 
 }  // namespace kgrid::data

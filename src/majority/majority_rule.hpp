@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -49,8 +50,9 @@ class MajorityRuleResource : public sim::Entity {
                        const net::LinkDelays* delays)
       : id_(id), config_(config), neighbors_(std::move(neighbors)),
         delays_(delays) {
-    for (const auto& cand : arm::initial_candidates(config_.n_items))
-      register_candidate(cand);
+    for (auto& cand : arm::initial_candidates(config_.n_items))
+      register_candidate(
+          std::make_shared<const arm::Candidate>(std::move(cand)));
   }
 
   net::NodeId id() const { return id_; }
@@ -67,8 +69,13 @@ class MajorityRuleResource : public sim::Entity {
 
   /// Queue future arrivals; each step consumes config.arrivals_per_step.
   void queue_arrivals(std::vector<data::Transaction> arrivals) {
-    future_.insert(future_.end(), std::make_move_iterator(arrivals.begin()),
-                   std::make_move_iterator(arrivals.end()));
+    future_.queue(std::move(arrivals));
+  }
+
+  /// Stream arrivals in place, ahead of queued ones; `arrivals` must
+  /// outlive the resource (the grid passes its environment's).
+  void stream_arrivals(std::span<const data::Transaction> arrivals) {
+    future_.view(arrivals);
   }
 
   /// The resource's interim solution R̃_u[DB_t]. The paper defines correct
@@ -77,18 +84,19 @@ class MajorityRuleResource : public sim::Entity {
   /// passes; frequency votes contribute directly.
   arm::RuleSet interim() const {
     arm::RuleSet out;
-    for (const auto& [cand, node] : instances_) {
+    for (const auto& [cand, instance] : instances_) {
+      const MajorityNode& node = *instance.node;
       // An empty vote (no transaction counted anywhere yet) passes Δ >= 0
       // vacuously; do not report it.
-      if (node->knowledge().count == 0) continue;
-      if (!node->decide()) continue;
+      if (node.knowledge().count == 0) continue;
+      if (!node.decide()) continue;
       if (cand.kind == arm::VoteKind::kFrequency) {
         out.insert(cand.rule);
         continue;
       }
       const auto freq_it =
           instances_.find(arm::frequency_candidate(cand.rule.all_items()));
-      if (freq_it != instances_.end() && freq_it->second->decide())
+      if (freq_it != instances_.end() && freq_it->second.node->decide())
         out.insert(cand.rule);
     }
     return out;
@@ -111,16 +119,22 @@ class MajorityRuleResource : public sim::Entity {
                   sim::Payload& payload) override {
     const auto& msg = payload.get<RuleMessage>();
     // Algorithm 4: an unknown candidate learned from a neighbor joins C,
-    // along with the frequency vote for its full itemset.
-    if (!instances_.contains(msg.candidate)) {
-      register_candidate(msg.candidate);
-      const arm::Candidate freq =
-          arm::frequency_candidate(msg.candidate.rule.all_items());
-      if (!instances_.contains(freq)) register_candidate(freq);
+    // along with the frequency vote for its full itemset. The new instance
+    // keeps the sender's shared copy of the candidate.
+    const auto it = instances_.find(*msg.candidate);
+    Instance& instance = it != instances_.end()
+                             ? it->second
+                             : register_candidate(msg.candidate);
+    if (it == instances_.end()) {
+      arm::Candidate freq =
+          arm::frequency_candidate(msg.candidate->rule.all_items());
+      if (!instances_.contains(freq))
+        register_candidate(
+            std::make_shared<const arm::Candidate>(std::move(freq)));
     }
-    auto& node = *instances_.at(msg.candidate);
-    deliver(engine, msg.candidate,
-            node.on_receive(static_cast<net::NodeId>(from), msg.vote));
+    deliver(engine, instance.candidate,
+            instance.node->on_receive(static_cast<net::NodeId>(from),
+                                      msg.vote));
   }
 
  private:
@@ -130,14 +144,28 @@ class MajorityRuleResource : public sim::Entity {
                                  : config_.min_conf);
   }
 
-  void register_candidate(const arm::Candidate& cand) {
-    counter_.add_rule(cand);
-    auto node = std::make_unique<MajorityNode>(id_, lambda_for(cand), neighbors_);
-    pending_bootstrap_.push_back(cand);
-    instances_.emplace(cand, std::move(node));
+  using CandidatePtr = std::shared_ptr<const arm::Candidate>;
+
+  /// One vote instance: the candidate's shared copy (what this resource's
+  /// messages point at) and its Scalable-Majority node.
+  struct Instance {
+    CandidatePtr candidate;
+    std::unique_ptr<MajorityNode> node;
+  };
+
+  Instance& register_candidate(CandidatePtr cand) {
+    counter_.add_rule(*cand);
+    auto node =
+        std::make_unique<MajorityNode>(id_, lambda_for(*cand), neighbors_);
+    const arm::Candidate& key = *cand;
+    Instance& instance =
+        instances_.emplace(key, Instance{std::move(cand), std::move(node)})
+            .first->second;
+    pending_bootstrap_.push_back(&instance);  // map values are stable
+    return instance;
   }
 
-  void deliver(sim::Engine& engine, const arm::Candidate& cand,
+  void deliver(sim::Engine& engine, const CandidatePtr& cand,
                const std::vector<MajorityNode::Outgoing>& outgoing) {
     for (const auto& out : outgoing) {
       const double delay = delays_ ? delays_->delay(id_, out.to) : 0.1;
@@ -155,30 +183,32 @@ class MajorityRuleResource : public sim::Entity {
     ++steps_;
     engine.offload(self_entity_, [this]() -> sim::Engine::Apply {
       // 1. Dynamic growth: the paper appends 20 transactions per step.
-      for (std::size_t i = 0;
-           i < config_.arrivals_per_step && future_cursor_ < future_.size();
-           ++i)
-        counter_.append(future_[future_cursor_++]);
+      for (std::size_t i = 0; i < config_.arrivals_per_step; ++i) {
+        const data::Transaction* t = future_.next();
+        if (t == nullptr) break;
+        counter_.append(*t);
+      }
 
-      std::vector<std::pair<arm::Candidate, MajorityNode::Outgoing>> outbox;
-      const auto collect = [&outbox](const arm::Candidate& cand,
+      std::vector<std::pair<CandidatePtr, MajorityNode::Outgoing>> outbox;
+      const auto collect = [&outbox](const Instance& instance,
                                      std::vector<MajorityNode::Outgoing> out) {
-        for (auto& o : out) outbox.emplace_back(cand, std::move(o));
+        for (auto& o : out) outbox.emplace_back(instance.candidate, std::move(o));
       };
 
       // 2. Budgeted counting; feed changed counts into the vote instances.
       counter_.advance(
           config_.count_budget,
           [&](arm::CandId id, const arm::IncrementalCounter::Counts& counts) {
-            const arm::Candidate& cand = counter_.candidates()[id];
-            collect(cand, instances_.at(cand)->set_input(
-                              {static_cast<std::int64_t>(counts.sum),
-                               static_cast<std::int64_t>(counts.count)}));
+            const Instance& instance =
+                instances_.at(counter_.candidates()[id]);
+            collect(instance, instance.node->set_input(
+                                  {static_cast<std::int64_t>(counts.sum),
+                                   static_cast<std::int64_t>(counts.count)}));
           });
 
       // 3. First-contact bootstrap for instances created since the last step.
-      for (const auto& cand : pending_bootstrap_)
-        collect(cand, instances_.at(cand)->bootstrap());
+      for (const Instance* instance : pending_bootstrap_)
+        collect(*instance, instance->node->bootstrap());
       pending_bootstrap_.clear();
 
       // 4. Candidate generation every candidate_period steps (paper: "on
@@ -186,11 +216,12 @@ class MajorityRuleResource : public sim::Entity {
       //    candidate rules").
       if (steps_ % config_.candidate_period == 0) {
         arm::CandidateSet correct;
-        for (const auto& [cand, node] : instances_)
-          if (node->decide()) correct.insert(cand);
-        for (const auto& cand :
+        for (const auto& [cand, instance] : instances_)
+          if (instance.node->decide()) correct.insert(cand);
+        for (auto& cand :
              arm::derive_candidates(correct, counter_.candidates()))
-          register_candidate(cand);
+          register_candidate(
+              std::make_shared<const arm::Candidate>(std::move(cand)));
       }
 
       return [this, outbox = std::move(outbox)](sim::Engine& eng) {
@@ -210,12 +241,9 @@ class MajorityRuleResource : public sim::Entity {
   std::uint64_t messages_out_ = 0;
 
   arm::IncrementalCounter counter_;
-  std::vector<data::Transaction> future_;
-  std::size_t future_cursor_ = 0;
-  std::unordered_map<arm::Candidate, std::unique_ptr<MajorityNode>,
-                     arm::CandidateHash>
-      instances_;
-  std::vector<arm::Candidate> pending_bootstrap_;
+  data::ArrivalStream future_;
+  std::unordered_map<arm::Candidate, Instance, arm::CandidateHash> instances_;
+  std::vector<const Instance*> pending_bootstrap_;
 };
 
 }  // namespace kgrid::majority

@@ -4,14 +4,19 @@
 // set without pulling in the resource/engine machinery.
 #pragma once
 
+#include <memory>
+
 #include "arm/candidates.hpp"
 #include "majority/scalable_majority.hpp"
 
 namespace kgrid::majority {
 
 /// One Scalable-Majority message, tagged by the vote instance it belongs to.
+/// The candidate is the sending instance's shared copy, so a message stays
+/// small in its event slot and never allocates for it; on the wire it
+/// travels in full (net/wire).
 struct RuleMessage {
-  arm::Candidate candidate;
+  std::shared_ptr<const arm::Candidate> candidate;
   VotePair vote;
 };
 

@@ -249,16 +249,25 @@ void SocketTransport::deliver_buffered(RecvConn& conn,
         conn.buf.data() + conn.head + wire::kFrameHeaderBytes, len);
     sim::EventRecord rec;
     sim::Payload payload;
-    KGRID_CHECK(wire::decode_frame(body, &rec, &payload),
-                "malformed frame on live link");
+    const bool valid = wire::decode_frame(body, &rec, &payload);
     conn.head += wire::kFrameHeaderBytes + len;
     ++stats_.frames_in;
-    if (delivery_hook_)
-      delivery_hook_(rec, wire::kFrameHeaderBytes + std::size_t{len});
     if (!ingress_mode_) {
       KGRID_CHECK(in_flight_ > 0, "delivered frame was never dispatched");
       --in_flight_;
     }
+    if (!valid) {
+      // A malformed frame may come from a hostile peer, so it is dropped,
+      // never fatal. When its header still names a sender, the recipient
+      // gets an empty payload from that sender in its place, and the
+      // protocol layer rejects the sender (core::SecureResource quarantines
+      // it); a frame without a readable header is dropped outright.
+      ++stats_.frames_rejected;
+      payload = sim::Payload();
+      if (!wire::decode_frame_header(body, &rec)) continue;
+    }
+    if (delivery_hook_)
+      delivery_hook_(rec, wire::kFrameHeaderBytes + std::size_t{len});
     // Zero-copy re-injection: the payload (and any COW cipher body it
     // holds) moves straight into the engine's pooled event slot.
     engine_->transport_push(rec, std::move(payload));

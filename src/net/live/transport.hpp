@@ -59,6 +59,9 @@ struct LiveStats {
   std::uint64_t coalesced_frames = 0;
   /// dispatch() found the peer's send ring full and had to pump.
   std::uint64_t backpressure_stalls = 0;
+  /// Frames that failed to decode (dropped; see deliver_buffered). Not in
+  /// the artifact: a run of this process's own traffic keeps it at zero.
+  std::uint64_t frames_rejected = 0;
 
   obs::Json to_json() const {
     obs::Json j = obs::Json::object();

@@ -1,6 +1,7 @@
 #include "net/wire/wire.hpp"
 
 #include <limits>
+#include <memory>
 #include <utility>
 
 #include "arm/rules.hpp"
@@ -42,6 +43,28 @@ bool decode_candidate(util::ByteReader& r, arm::Candidate* out) {
   return true;
 }
 
+// The event header: everything before the payload tag.
+bool decode_header(util::ByteReader& r, sim::EventRecord* out) {
+  sim::EventRecord rec;
+  rec.seq = r.varint();
+  const std::uint64_t from = r.varint();
+  const std::uint64_t to = r.varint();
+  if (from > std::numeric_limits<sim::EntityId>::max() ||
+      to > std::numeric_limits<sim::EntityId>::max())
+    return false;
+  rec.from = static_cast<sim::EntityId>(from);
+  rec.to = static_cast<sim::EntityId>(to);
+  rec.time = r.f64();
+  rec.sent_at = r.f64();
+  // The wire carries messages only (timers are entity-local alarms and
+  // never leave their engine — sim/engine.hpp attach_transport).
+  rec.kind = sim::EventKind::kMessage;
+  rec.timer_id = 0;
+  if (!r.ok()) return false;
+  *out = rec;
+  return true;
+}
+
 }  // namespace
 
 bool encode_frame(util::ByteWriter& w, const sim::EventRecord& record,
@@ -53,7 +76,9 @@ bool encode_frame(util::ByteWriter& w, const sim::EventRecord& record,
   w.f64(record.sent_at);
   if (const auto* m = payload.get_if<core::SecureRuleMessage>()) {
     w.u8(kTagSecureRule);
-    encode_candidate(w, m->candidate);
+    const bool announce = m->announce != nullptr;
+    w.varint((std::uint64_t{m->edge_id} << 1) | (announce ? 1 : 0));
+    if (announce) encode_candidate(w, *m->announce);
     hom::encode_cipher(w, m->counter);
     return true;
   }
@@ -65,7 +90,7 @@ bool encode_frame(util::ByteWriter& w, const sim::EventRecord& record,
   }
   if (const auto* m = payload.get_if<majority::RuleMessage>()) {
     w.u8(kTagMajorityRule);
-    encode_candidate(w, m->candidate);
+    encode_candidate(w, *m->candidate);
     w.varint(zigzag(m->vote.sum));
     w.varint(zigzag(m->vote.count));
     return true;
@@ -83,20 +108,7 @@ bool decode_frame(std::string_view body, sim::EventRecord* record,
                   sim::Payload* payload) {
   util::ByteReader r(body);
   sim::EventRecord rec;
-  rec.seq = r.varint();
-  const std::uint64_t from = r.varint();
-  const std::uint64_t to = r.varint();
-  if (from > std::numeric_limits<sim::EntityId>::max() ||
-      to > std::numeric_limits<sim::EntityId>::max())
-    return false;
-  rec.from = static_cast<sim::EntityId>(from);
-  rec.to = static_cast<sim::EntityId>(to);
-  rec.time = r.f64();
-  rec.sent_at = r.f64();
-  // The wire carries messages only (timers are entity-local alarms and
-  // never leave their engine — sim/engine.hpp attach_transport).
-  rec.kind = sim::EventKind::kMessage;
-  rec.timer_id = 0;
+  if (!decode_header(r, &rec)) return false;
   const std::uint8_t tag = r.u8();
   if (!r.ok()) return false;
   switch (tag) {
@@ -105,7 +117,15 @@ bool decode_frame(std::string_view body, sim::EventRecord* record,
       break;
     case kTagSecureRule: {
       core::SecureRuleMessage m;
-      if (!decode_candidate(r, &m.candidate)) return false;
+      const std::uint64_t id_flag = r.varint();
+      if (!r.ok() || (id_flag >> 1) > std::numeric_limits<std::uint32_t>::max())
+        return false;
+      m.edge_id = static_cast<std::uint32_t>(id_flag >> 1);
+      if ((id_flag & 1) != 0) {
+        arm::Candidate c;
+        if (!decode_candidate(r, &c)) return false;
+        m.announce = std::make_shared<const arm::Candidate>(std::move(c));
+      }
       if (!hom::decode_cipher(r, &m.counter)) return false;
       payload->assign(std::move(m));
       break;
@@ -124,7 +144,9 @@ bool decode_frame(std::string_view body, sim::EventRecord* record,
     }
     case kTagMajorityRule: {
       majority::RuleMessage m;
-      if (!decode_candidate(r, &m.candidate)) return false;
+      arm::Candidate c;
+      if (!decode_candidate(r, &c)) return false;
+      m.candidate = std::make_shared<const arm::Candidate>(std::move(c));
       m.vote.sum = unzigzag(r.varint());
       m.vote.count = unzigzag(r.varint());
       payload->assign(std::move(m));
@@ -138,6 +160,11 @@ bool decode_frame(std::string_view body, sim::EventRecord* record,
   if (!r.ok() || !r.at_end()) return false;
   *record = rec;
   return true;
+}
+
+bool decode_frame_header(std::string_view body, sim::EventRecord* record) {
+  util::ByteReader r(body);
+  return decode_header(r, record);
 }
 
 }  // namespace kgrid::net::wire

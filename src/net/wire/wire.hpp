@@ -11,13 +11,18 @@
 //   u8 payload tag · payload bytes
 //
 //   tag 0  empty payload (pure schedule events)
-//   tag 1  core::SecureRuleMessage   — candidate + cipher (hom codec)
+//   tag 1  core::SecureRuleMessage   — varint (edge id << 1 | announce),
+//                                      the candidate only when announcing,
+//                                      then the cipher (hom codec)
 //   tag 2  core::MaliciousReport     — varint culprit + varint reporter
 //   tag 3  majority::RuleMessage     — candidate + zigzag vote pair
 //
 // Candidates reuse the trace codec's gap encoding for sorted-unique
 // itemsets (data/trace_codec.hpp) — lhs, rhs, then a u8 vote kind — and
-// ciphers travel through crypto/hom.hpp's encode_cipher/decode_cipher.
+// ciphers travel through crypto/hom.hpp's encode_cipher/decode_cipher. A
+// secure message names its candidate by the sender's per-link edge id
+// (core/messages.hpp); the codec only carries the id and the announcement,
+// and the receiving broker checks them against its dictionary.
 // Times are IEEE-754 bit patterns (util/bytes.hpp), so the (time, seq)
 // coordinates that pin the engine's dispatch order round-trip exactly:
 // that exactness is what makes the sim a differential oracle for the live
@@ -71,5 +76,10 @@ bool encode_frame(util::ByteWriter& w, const sim::EventRecord& record,
 /// `*payload` are unspecified-but-valid on failure.
 bool decode_frame(std::string_view body, sim::EventRecord* record,
                   sim::Payload* payload);
+
+/// Decode only the event header of a frame body — what the live transport
+/// salvages from a frame decode_frame rejected, to learn who claims to have
+/// sent it. Returns false when even the header is malformed.
+bool decode_frame_header(std::string_view body, sim::EventRecord* record);
 
 }  // namespace kgrid::net::wire

@@ -8,7 +8,11 @@
 // pooled event slot; a SecureRuleMessage's plain-backend ciphertext lives
 // inline in it, and a Paillier one is a copy-on-write body shared by
 // refcount, see crypto/hom.hpp), and delivery dispatch is an index check
-// instead of a typeid comparison.
+// instead of a typeid comparison. Neither message carries a Candidate by
+// value: a SecureRuleMessage names it by per-edge id (core/messages.hpp)
+// and a RuleMessage points at its sender's shared copy, so the largest
+// alternative is the 96 B inline cipher plus 24 B and the variant is
+// 128 B (tests/sim/engine_test.cpp pins sizeof(Event) <= 176).
 //
 // Everything else — test fixtures, ad-hoc harness messages — rides in the
 // std::any escape hatch, which restores the exact pre-variant semantics
@@ -98,7 +102,9 @@ class Payload {
   /// Re-materialize value semantics for any copy-on-write message body
   /// (today only a SecureRuleMessage's Paillier ciphertext). The sharded
   /// engine calls this on every cross-lane mailbox entry, so no cipher body
-  /// is shared between shards (docs/SHARDING.md "Mailbox lifecycle").
+  /// is shared between shards (docs/SHARDING.md "Mailbox lifecycle"). A
+  /// shared candidate (announcement or RuleMessage) stays shared: it is
+  /// immutable and its refcount is atomic.
   void detach() {
     if (auto* msg = std::get_if<core::SecureRuleMessage>(&v_))
       msg->counter.detach();

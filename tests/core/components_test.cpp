@@ -4,9 +4,18 @@
 // candidate, decrypted counter fields, detections) and the Stats are
 // compared line by line. They pin the trio's observable behaviour, so a
 // restructuring of its internal state must reproduce every line.
+//
+// Messages name their candidate by per-edge id (core/messages.hpp): the
+// fixture's neighbours announce a candidate on its first message over
+// their link, and outgoing lines name the candidate the broker's own table
+// holds under Outgoing::candidate. The EdgeDictionary tests feed the
+// broker ids that break the dictionary.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/accountant.hpp"
@@ -54,13 +63,25 @@ class ResourceComponents : public ::testing::Test {
 
   // What neighbour w (at our layout slot `slot`) would send: its side's
   // totals, our accountant's share for its slot, and its Lamport stamp.
+  // Like a real sender it numbers candidates per link in first-send order
+  // and announces each one on its first message.
   SecureRuleMessage from_neighbour(std::size_t slot, const arm::Candidate& c,
                                    std::uint64_t sum, std::uint64_t count,
                                    std::uint64_t num, std::uint64_t ts) {
+    auto& sent = peer_ids[slot];
+    const auto [it, first] =
+        sent.try_emplace(c, static_cast<std::uint32_t>(sent.size()));
     return SecureRuleMessage{
-        c, hom::make_counter(ctx->encrypt_key(), acct.layout(), sum, count,
+        it->second, first ? std::make_shared<const arm::Candidate>(c) : nullptr,
+        counter(slot, sum, count, num, ts)};
+  }
+
+  hom::Cipher counter(std::size_t slot, std::uint64_t sum,
+                      std::uint64_t count, std::uint64_t num,
+                      std::uint64_t ts) {
+    return hom::make_counter(ctx->encrypt_key(), acct.layout(), sum, count,
                              num, acct.share_table()[slot], slot, ts,
-                             peer_rng)};
+                             peer_rng);
   }
 
   static std::string name(const arm::Candidate& c) {
@@ -78,7 +99,7 @@ class ResourceComponents : public ::testing::Test {
           theirs, ctx->decrypt_key().decrypt(out.message.counter,
                                              theirs.n_fields()));
       std::string line = "to " + std::to_string(out.to) + " " +
-                         name(out.message.candidate) +
+                         name(acct.candidates()[out.candidate]) +
                          " sum=" + std::to_string(view.sum) +
                          " count=" + std::to_string(view.count) +
                          " num=" + std::to_string(view.num) +
@@ -134,6 +155,11 @@ class ResourceComponents : public ::testing::Test {
   Broker broker{0, ctx->eval_handle(), acct.layout(), {1, 2, 3},
                 &acct, &ctl, Rng(33)};
   Broker::Effects buffer;  // flush/generate output, reused like a resource's
+  // The neighbours' per-link dictionaries: slot -> candidate -> edge id.
+  std::map<std::size_t,
+           std::unordered_map<arm::Candidate, std::uint32_t,
+                              arm::CandidateHash>>
+      peer_ids;
 
   const arm::Candidate f1 = frequency_candidate({1});
   const arm::Candidate f2 = frequency_candidate({2});
@@ -332,6 +358,151 @@ TEST_F(ResourceComponents, NonNeighbourSenderIsNotTrusted) {
             "broker out=0 registered=0 edges=0 | controller sends=0 "
             "outputs=0 granted=0 reveals=0 detections=0 | accountant "
             "replies=0 tokens=0");
+}
+
+// Hostile senders against the per-edge candidate dictionary: every
+// violation is dropped, counted, and quarantines the sender locally — the
+// process never aborts, and the other links keep working.
+class EdgeDictionary : public ResourceComponents {
+ protected:
+  // A message from the neighbour at `slot` with an arbitrary edge id,
+  // announcing `announce` when it is non-null.
+  SecureRuleMessage raw(std::size_t slot, std::uint32_t edge_id,
+                        const arm::Candidate* announce) {
+    return SecureRuleMessage{
+        edge_id,
+        announce != nullptr ? std::make_shared<const arm::Candidate>(*announce)
+                            : nullptr,
+        counter(slot, 5, 6, 2, 1)};
+  }
+
+  std::uint64_t rejected() const { return broker.stats().messages_rejected; }
+};
+
+TEST_F(EdgeDictionary, SenderAnnouncesOncePerLinkInFirstSendOrder) {
+  const Broker::Effects first = broker.register_candidate(f1);
+  const Broker::Effects second = broker.register_candidate(c12);
+  ASSERT_EQ(first.messages.size(), 3u);
+  ASSERT_EQ(second.messages.size(), 3u);
+  for (const auto& out : first.messages) {
+    EXPECT_EQ(out.message.edge_id, 0u);
+    ASSERT_NE(out.message.announce, nullptr);
+    EXPECT_EQ(*out.message.announce, f1);
+    // One shared copy per candidate, not one per message.
+    EXPECT_EQ(out.message.announce, first.messages[0].message.announce);
+  }
+  for (const auto& out : second.messages) {
+    EXPECT_EQ(out.message.edge_id, 1u);
+    ASSERT_NE(out.message.announce, nullptr);
+    EXPECT_EQ(*out.message.announce, c12);
+  }
+  // Later messages carry the id alone.
+  acct.advance(100);
+  const Broker::Effects again = broker.on_accountant_update(f1);
+  ASSERT_EQ(again.messages.size(), 3u);
+  for (const auto& out : again.messages) {
+    EXPECT_EQ(out.message.edge_id, 0u);
+    EXPECT_EQ(out.message.announce, nullptr);
+  }
+  EXPECT_EQ(rejected(), 0u);
+}
+
+TEST_F(EdgeDictionary, UnannouncedIdIsDroppedAndQuarantined) {
+  (void)broker.register_candidate(f1);  // known here, never announced by 1
+  EXPECT_TRUE(show(broker.store_received(1, raw(1, 0, nullptr))).empty());
+  EXPECT_TRUE(broker.is_quarantined(1));
+  EXPECT_EQ(rejected(), 1u);
+  // Once quarantined, even a well-formed announcement is dropped unread.
+  EXPECT_TRUE(show(broker.store_received(1, raw(1, 0, &f1))).empty());
+  EXPECT_EQ(rejected(), 1u);
+  EXPECT_TRUE(flush().empty());
+  // The other links are untouched.
+  acct.advance(100);
+  EXPECT_EQ(show(broker.on_accountant_update(f1)),
+            (Lines{"to 2 F{}=>{1} sum=4 count=6 num=1 share=1002 ts=0,2,0",
+                   "to 3 F{}=>{1} sum=4 count=6 num=1 share=1003 ts=0,2,0"}));
+}
+
+TEST_F(EdgeDictionary, AnnouncementOutOfSequenceIsDroppedAndQuarantined) {
+  // Link 2's first announcement must carry id 0.
+  EXPECT_TRUE(show(broker.on_receive(2, raw(2, 1, &f1))).empty());
+  EXPECT_TRUE(broker.is_quarantined(2));
+  EXPECT_EQ(rejected(), 1u);
+  EXPECT_EQ(broker.candidate_count(), 0u);  // nothing adopted
+  EXPECT_FALSE(acct.has_rule(f1));
+  // Link 3 announces in sequence and is accepted.
+  EXPECT_EQ(show(broker.store_received(3, raw(3, 0, &f1))).size(), 2u);
+  EXPECT_EQ(broker.candidate_count(), 1u);
+  EXPECT_FALSE(broker.is_quarantined(3));
+  EXPECT_EQ(rejected(), 1u);
+}
+
+TEST_F(EdgeDictionary, SecondAnnouncementOfAnIdIsDroppedAndQuarantined) {
+  (void)broker.store_received(3, raw(3, 0, &f1));
+  EXPECT_EQ(broker.candidate_count(), 1u);
+  EXPECT_EQ(rejected(), 0u);
+  // Id 0 is taken on this link: re-announcing it (as anything) is a lie.
+  EXPECT_TRUE(show(broker.store_received(3, raw(3, 0, &f2))).empty());
+  EXPECT_TRUE(broker.is_quarantined(3));
+  EXPECT_EQ(rejected(), 1u);
+  EXPECT_EQ(broker.candidate_count(), 1u);
+  EXPECT_FALSE(acct.has_rule(f2));
+}
+
+TEST_F(EdgeDictionary, OutOfRangeIdIsDroppedAndQuarantined) {
+  (void)broker.store_received(1, raw(1, 0, &f1));
+  EXPECT_TRUE(show(broker.store_received(1, raw(1, 1, nullptr))).empty());
+  EXPECT_TRUE(broker.is_quarantined(1));
+  EXPECT_TRUE(show(broker.on_receive(2, raw(2, UINT32_MAX, nullptr))).empty());
+  EXPECT_TRUE(broker.is_quarantined(2));
+  EXPECT_EQ(rejected(), 2u);
+  // Link 3 can still name f1 — after announcing it on its own link.
+  EXPECT_TRUE(show(broker.store_received(3, raw(3, 0, &f1))).empty());
+  EXPECT_TRUE(show(broker.store_received(3, raw(3, 0, nullptr))).empty());
+  EXPECT_EQ(rejected(), 2u);
+  EXPECT_FALSE(broker.is_quarantined(3));
+}
+
+TEST_F(EdgeDictionary, AnnouncementFromNonNeighbourIsDroppedAndQuarantined) {
+  EXPECT_TRUE(show(broker.on_receive(7, raw(1, 0, &f1))).empty());
+  EXPECT_TRUE(broker.is_quarantined(7));
+  EXPECT_EQ(rejected(), 1u);
+  EXPECT_EQ(broker.candidate_count(), 0u);
+  EXPECT_FALSE(acct.has_rule(f1));
+}
+
+TEST_F(EdgeDictionary, SpareSlotJoinAnnouncesOnTheNewEdge) {
+  (void)broker.register_candidate(f1);
+  (void)broker.register_candidate(c12);
+  acct.advance(100);
+  (void)broker.on_accountant_update(f1);
+  (void)broker.on_accountant_update(c12);
+  ctl.register_neighbor(4, 9);
+  broker.add_neighbor(9);
+  install_token(9);
+  // The new link numbers candidates in its own first-send order (the
+  // flush order), independent of the ids the older links use.
+  broker.flush_dirty(buffer);
+  ASSERT_EQ(buffer.messages.size(), 2u);
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    const auto& out = buffer.messages[i];
+    EXPECT_EQ(out.to, 9u);
+    EXPECT_EQ(out.message.edge_id, i);
+    ASSERT_NE(out.message.announce, nullptr);
+    EXPECT_EQ(*out.message.announce, acct.candidates()[out.candidate]);
+  }
+  EXPECT_EQ(*buffer.messages[0].message.announce, c12);
+  // The joiner announces on its side of the link; the broker resolves the
+  // spare slot's dictionary and answers the old links by id alone.
+  EXPECT_TRUE(broker.store_received(9, from_neighbour(4, f1, 0, 5, 2, 1))
+                  .messages.empty());
+  broker.flush_dirty(buffer);
+  ASSERT_EQ(buffer.messages.size(), 3u);
+  for (const auto& out : buffer.messages) {
+    EXPECT_EQ(out.message.edge_id, 0u);
+    EXPECT_EQ(out.message.announce, nullptr);
+  }
+  EXPECT_EQ(rejected(), 0u);
 }
 
 }  // namespace

@@ -301,12 +301,11 @@ TEST(Broker, InterimRequiresFrequencyVoteForConfidenceRules) {
   pair.acct1.append({11, {1, 2}});
   const auto freq = frequency_candidate({1, 2});
   const auto conf = arm::confidence_candidate({1}, {2});
-  for (auto* b : {&pair.broker0, &pair.broker1}) {
-    auto e1 = b->register_candidate(freq);
-    auto e2 = b->register_candidate(conf);
-    (void)e1;
-    (void)e2;
-  }
+  // The bootstrap traffic is delivered, like every message after it: the
+  // first message of a rule on a link announces it (core/messages.hpp).
+  for (const auto& rule : {freq, conf})
+    pair.pump(pair.broker0.register_candidate(rule),
+              pair.broker1.register_candidate(rule));
   pair.acct0.advance(100);
   pair.acct1.advance(100);
   for (const auto& rule : {freq, conf})
@@ -329,10 +328,9 @@ TEST(Broker, InterimRequiresFrequencyVoteForConfidenceRules) {
   pair2.acct1.append({11, {3}});
   pair2.acct1.append({12, {3}});
   pair2.acct1.append({13, {3}});
-  for (auto* b : {&pair2.broker0, &pair2.broker1}) {
-    (void)b->register_candidate(freq);
-    (void)b->register_candidate(conf);
-  }
+  for (const auto& rule : {freq, conf})
+    pair2.pump(pair2.broker0.register_candidate(rule),
+               pair2.broker1.register_candidate(rule));
   pair2.acct0.advance(100);
   pair2.acct1.advance(100);
   for (const auto& rule : {freq, conf})

@@ -158,6 +158,30 @@ TEST(SecureGrid, LeafJoinBringsNewDataIntoTheModel) {
   EXPECT_TRUE(grid.monitor().violations().empty());
 }
 
+TEST(SecureGrid, LeafJoinBootstrapsItsEdgeDictionary) {
+  // A joiner's link starts with empty candidate dictionaries on both
+  // sides: the anchor announces every candidate it holds on the new edge,
+  // the joiner announces its own, and neither side ever sees an id it was
+  // not told about.
+  SecureGridConfig cfg = small_config(29);
+  cfg.env.n_resources = 5;
+  cfg.secure.spare_slots = 1;
+  SecureGrid grid(cfg);
+  grid.run_steps(30);
+  const std::size_t anchor_candidates =
+      grid.resource(0).broker().candidate_count();
+  ASSERT_GT(anchor_candidates, cfg.env.quest.n_items);  // derived ones too
+  const net::NodeId joined = grid.join_leaf(0, grid.env().initial[1]);
+  grid.run_steps(10);
+  // The joiner learned the anchor's derived candidates from announcements.
+  EXPECT_GE(grid.resource(joined).broker().candidate_count(),
+            anchor_candidates);
+  for (net::NodeId u = 0; u < grid.size(); ++u) {
+    EXPECT_EQ(grid.resource(u).broker().stats().messages_rejected, 0u) << u;
+    EXPECT_TRUE(grid.resource(u).quarantined().empty()) << u;
+  }
+}
+
 TEST(SecureGrid, EventDrivenModeMatchesBatched) {
   SecureGridConfig cfg = small_config(29);
   cfg.env.n_resources = 6;

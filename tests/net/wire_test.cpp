@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -57,6 +58,18 @@ arm::Candidate make_candidate() {
   return {rule, arm::VoteKind::kConfidence};
 }
 
+std::shared_ptr<const arm::Candidate> shared_candidate() {
+  return std::make_shared<const arm::Candidate>(make_candidate());
+}
+
+/// A secure message in either form: announcing (edge id + candidate) or
+/// steady state (edge id alone).
+core::SecureRuleMessage secure_message(std::uint32_t edge_id, bool announce,
+                                       hom::Cipher counter) {
+  return {edge_id, announce ? shared_candidate() : nullptr,
+          std::move(counter)};
+}
+
 TEST(WireCodec, EmptyPayloadRoundTrips) {
   sim::EventRecord rec;
   sim::Payload out;
@@ -80,7 +93,7 @@ TEST(WireCodec, MaliciousReportRoundTrips) {
 
 TEST(WireCodec, MajorityRuleRoundTripsSignedVotes) {
   majority::RuleMessage msg;
-  msg.candidate = make_candidate();
+  msg.candidate = shared_candidate();
   msg.vote.sum = -12345;  // zigzag path: negative sums stay small varints
   msg.vote.count = 678;
   sim::EventRecord rec;
@@ -88,9 +101,8 @@ TEST(WireCodec, MajorityRuleRoundTripsSignedVotes) {
   round_trip(make_record(), sim::Payload(msg), &rec, &out);
   const auto* m = out.get_if<majority::RuleMessage>();
   ASSERT_NE(m, nullptr);
-  EXPECT_EQ(m->candidate.rule.lhs, msg.candidate.rule.lhs);
-  EXPECT_EQ(m->candidate.rule.rhs, msg.candidate.rule.rhs);
-  EXPECT_EQ(m->candidate.kind, arm::VoteKind::kConfidence);
+  EXPECT_EQ(*m->candidate, *msg.candidate);
+  EXPECT_EQ(m->candidate->kind, arm::VoteKind::kConfidence);
   EXPECT_EQ(m->vote.sum, -12345);
   EXPECT_EQ(m->vote.count, 678);
 }
@@ -98,19 +110,62 @@ TEST(WireCodec, MajorityRuleRoundTripsSignedVotes) {
 TEST(WireCodec, SecureRulePlainCipherRoundTrips) {
   const hom::ContextPtr ctx = hom::Context::make_plain();
   Rng rng(5);
-  core::SecureRuleMessage msg;
-  msg.candidate = make_candidate();
-  msg.counter = ctx->encrypt_key().encrypt_value(31337, rng);
+  const core::SecureRuleMessage msg = secure_message(
+      4, /*announce=*/true, ctx->encrypt_key().encrypt_value(31337, rng));
   sim::EventRecord rec;
   sim::Payload out;
   round_trip(make_record(), sim::Payload(msg), &rec, &out);
   const auto* m = out.get_if<core::SecureRuleMessage>();
   ASSERT_NE(m, nullptr);
-  EXPECT_EQ(m->candidate.rule.lhs, msg.candidate.rule.lhs);
+  EXPECT_EQ(m->edge_id, 4u);
+  ASSERT_NE(m->announce, nullptr);
+  EXPECT_EQ(*m->announce, *msg.announce);
   // The decoded ciphertext is the same ciphertext, salt included — not
   // just one that decrypts equally.
   EXPECT_EQ(m->counter, msg.counter);
   EXPECT_EQ(ctx->decrypt_key().decrypt_value(m->counter), 31337u);
+}
+
+TEST(WireCodec, SecureRuleIdOnlyFrameRoundTripsWithoutCandidate) {
+  const hom::ContextPtr ctx = hom::Context::make_plain();
+  Rng rng(7);
+  const hom::Cipher counter = ctx->encrypt_key().encrypt_value(99, rng);
+  // Ids past one varint byte, up to the largest a u32 can hold.
+  for (const std::uint32_t id : {0u, 63u, 64u, 300u, 0xffffffffu}) {
+    sim::EventRecord rec;
+    sim::Payload out;
+    const std::string steady = round_trip(
+        make_record(), sim::Payload(secure_message(id, false, counter)), &rec,
+        &out);
+    const auto* m = out.get_if<core::SecureRuleMessage>();
+    ASSERT_NE(m, nullptr);
+    EXPECT_EQ(m->edge_id, id);
+    EXPECT_EQ(m->announce, nullptr);
+    EXPECT_EQ(m->counter, counter);
+    // The announcing form of the same message differs only by the
+    // candidate's bytes.
+    util::ByteWriter w;
+    ASSERT_TRUE(encode_frame(w, make_record(),
+                             sim::Payload(secure_message(id, true, counter))));
+    EXPECT_GT(w.bytes().size(), steady.size());
+  }
+}
+
+TEST(WireCodec, EdgeIdPastU32IsRejected) {
+  util::ByteWriter w;
+  w.varint(1);
+  w.varint(0);
+  w.varint(1);
+  w.f64(1.0);
+  w.f64(0.5);
+  w.u8(kTagSecureRule);
+  w.varint(std::uint64_t{1} << 33);  // edge id 2^32, not announcing
+  const hom::ContextPtr ctx = hom::Context::make_plain();
+  Rng rng(3);
+  hom::encode_cipher(w, ctx->encrypt_key().encrypt_value(1, rng));
+  sim::EventRecord rec;
+  sim::Payload out;
+  EXPECT_FALSE(decode_frame(w.bytes(), &rec, &out));
 }
 
 TEST(WireCodec, PlainCipherWithSpilledFieldsRoundTrips) {
@@ -120,9 +175,8 @@ TEST(WireCodec, PlainCipherWithSpilledFieldsRoundTrips) {
   std::vector<std::uint64_t> fields(13);
   for (std::size_t i = 0; i < fields.size(); ++i)
     fields[i] = (i + 1) * 0x0123456789ull;
-  core::SecureRuleMessage msg;
-  msg.candidate = make_candidate();
-  msg.counter = ctx->encrypt_key().encrypt(fields, rng);
+  const core::SecureRuleMessage msg =
+      secure_message(0, true, ctx->encrypt_key().encrypt(fields, rng));
   sim::EventRecord rec;
   sim::Payload out;
   round_trip(make_record(), sim::Payload(msg), &rec, &out);
@@ -136,9 +190,8 @@ TEST(WireCodec, SecureRulePaillierCipherRoundTrips) {
   Rng key_rng(99);
   const hom::ContextPtr ctx = hom::Context::make_paillier(256, key_rng);
   Rng rng(6);
-  core::SecureRuleMessage msg;
-  msg.candidate = make_candidate();
-  msg.counter = ctx->encrypt_key().encrypt_value(271828, rng);
+  const core::SecureRuleMessage msg = secure_message(
+      1, true, ctx->encrypt_key().encrypt_value(271828, rng));
   sim::EventRecord rec;
   sim::Payload out;
   round_trip(make_record(), sim::Payload(msg), &rec, &out);
@@ -158,18 +211,29 @@ TEST(WireCodec, StdAnyEscapeHatchIsRejected) {
 
 TEST(WireCodec, TruncatedBodiesFailCleanly) {
   majority::RuleMessage msg;
-  msg.candidate = make_candidate();
+  msg.candidate = shared_candidate();
   msg.vote = {41, 12};
-  util::ByteWriter w;
-  ASSERT_TRUE(encode_frame(w, make_record(), sim::Payload(msg)));
-  const std::string whole = w.bytes();
-  // Every proper prefix must decode to false — never crash, never succeed
-  // (the frame is consumed exactly, so dropping any suffix breaks it).
-  for (std::size_t len = 0; len < whole.size(); ++len) {
-    sim::EventRecord rec;
-    sim::Payload out;
-    EXPECT_FALSE(decode_frame(std::string_view(whole.data(), len), &rec, &out))
-        << "prefix length " << len;
+  const hom::ContextPtr ctx = hom::Context::make_plain();
+  Rng rng(11);
+  const hom::Cipher counter = ctx->encrypt_key().encrypt_value(5, rng);
+  // The baseline frame and both secure forms: announcing (the candidate's
+  // bytes sit between the edge id and the cipher) and id-only.
+  for (const sim::Payload& payload :
+       {sim::Payload(msg), sim::Payload(secure_message(9, true, counter)),
+        sim::Payload(secure_message(9, false, counter))}) {
+    util::ByteWriter w;
+    ASSERT_TRUE(encode_frame(w, make_record(), payload));
+    const std::string whole = w.bytes();
+    // Every proper prefix must decode to false — never crash, never
+    // succeed (the frame is consumed exactly, so dropping any suffix
+    // breaks it).
+    for (std::size_t len = 0; len < whole.size(); ++len) {
+      sim::EventRecord rec;
+      sim::Payload out;
+      EXPECT_FALSE(
+          decode_frame(std::string_view(whole.data(), len), &rec, &out))
+          << "prefix length " << len;
+    }
   }
 }
 
@@ -238,16 +302,17 @@ TEST(WireCodec, MutationFuzzNeverCrashes) {
     corpus.push_back(w.bytes());
     w.clear();
     majority::RuleMessage mr;
-    mr.candidate = make_candidate();
+    mr.candidate = shared_candidate();
     mr.vote = {-7, 9};
     encode_frame(w, make_record(), sim::Payload(mr));
     corpus.push_back(w.bytes());
-    w.clear();
-    core::SecureRuleMessage sr;
-    sr.candidate = make_candidate();
-    sr.counter = ctx->encrypt_key().encrypt_value(1000, rng);
-    encode_frame(w, make_record(), sim::Payload(sr));
-    corpus.push_back(w.bytes());
+    const hom::Cipher counter = ctx->encrypt_key().encrypt_value(1000, rng);
+    for (const bool announce : {true, false}) {
+      w.clear();
+      encode_frame(w, make_record(),
+                   sim::Payload(secure_message(2, announce, counter)));
+      corpus.push_back(w.bytes());
+    }
   }
   std::size_t decoded_ok = 0;
   for (int iter = 0; iter < 20000; ++iter) {

@@ -52,6 +52,17 @@ class Echo : public Entity {
   Time delay_;
 };
 
+// Every pooled event slot is sizeof(Event); the scheduler moves them on
+// every push and pop. Neither protocol message carries a Candidate by
+// value (a SecureRuleMessage names it by per-edge id, a RuleMessage points
+// at its sender's shared copy), which keeps the slot at 176 B.
+static_assert(sizeof(Event) <= 176, "event slot grew past 176 B");
+
+TEST(Engine, EventSlotStaysCompact) {
+  EXPECT_LE(sizeof(Event), 176u);
+  EXPECT_LE(sizeof(Payload), 128u);
+}
+
 TEST(Engine, DeliversInTimeOrder) {
   Engine engine;
   std::vector<Recorder::Record> log;
