@@ -8,15 +8,11 @@
 //   * BM_MontgomeryPow vs BM_MontgomeryPowBinary — windowed vs binary ladder.
 //   * BM_PaillierAdd vs BM_PaillierAddForm — per-op R-conversions vs
 //     Montgomery-form-cached operands.
-//   * BM_PaillierEncrypt/Rerandomize vs their *Unpooled twins — pooled r^n
-//     factors vs the inline modexp. The pooled benches run a fixed iteration
-//     count and prefill exactly that many factors outside the timed region,
-//     mirroring a deployment's idle-cycle precompute (randomizer_pool.hpp).
 //   * BM_BigIntMulKaratsuba vs BM_BigIntMulSchoolbook — around and above the
 //     kKaratsubaThresholdLimbs crossover.
 //
 //   * BM_BatchDecrypt/BM_BatchRerandomize — the hom batch APIs over an
-//     executor, swept across pool widths via the second benchmark arg
+//     executor, swept across executor widths via the second benchmark arg
 //     ({modulus_bits, threads}); the per-item cost at threads=1 vs the
 //     single-op benches above isolates the batch-API overhead.
 //
@@ -24,8 +20,8 @@
 // stripped before benchmark::Initialize) writes a kgrid.bench.v1 envelope
 // with one series row per benchmark run — see docs/METRICS.md. `--threads`
 // is likewise stripped (and recorded in the artifact's args) so the flag can
-// be passed uniformly to every bench binary; the batch benches sweep pool
-// widths through their benchmark args regardless.
+// be passed uniformly to every bench binary; the batch benches sweep
+// executor widths through their benchmark args regardless.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -39,7 +35,6 @@
 #include "crypto/counter.hpp"
 #include "crypto/hom.hpp"
 #include "crypto/paillier.hpp"
-#include "crypto/randomizer_pool.hpp"
 #include "obs/bench_report.hpp"
 #include "sim/executor.hpp"
 #include "wide/fixword/fixword.hpp"
@@ -72,28 +67,11 @@ BENCHMARK(BM_PaillierKeygen)->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond);
 void BM_PaillierEncrypt(benchmark::State& state) {
   const auto& key = key_for(static_cast<std::size_t>(state.range(0)));
   Rng rng(2);
-  // One pooled r^n factor per iteration, generated before timing starts.
-  key.pub.pool->prefill(state.max_iterations);
   for (auto _ : state)
     benchmark::DoNotOptimize(key.pub.encrypt(BigInt(123456789), rng));
 }
 BENCHMARK(BM_PaillierEncrypt)
     ->Arg(256)
-    ->Arg(512)
-    ->Arg(1024)
-    ->Arg(2048)
-    ->Iterations(256)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_PaillierEncryptUnpooled(benchmark::State& state) {
-  const auto& key = key_for(static_cast<std::size_t>(state.range(0)));
-  hom::PaillierPublicKey pk = key.pub;
-  pk.pool = nullptr;  // force the inline r^n modexp on every encryption
-  Rng rng(2);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(pk.encrypt(BigInt(123456789), rng));
-}
-BENCHMARK(BM_PaillierEncryptUnpooled)
     ->Arg(512)
     ->Arg(1024)
     ->Arg(2048)
@@ -155,24 +133,9 @@ void BM_PaillierRerandomize(benchmark::State& state) {
   const auto& key = key_for(static_cast<std::size_t>(state.range(0)));
   Rng rng(6);
   const BigInt a = key.pub.encrypt(BigInt(7), rng);
-  key.pub.pool->prefill(state.max_iterations);
   for (auto _ : state) benchmark::DoNotOptimize(key.pub.rerandomize(a, rng));
 }
 BENCHMARK(BM_PaillierRerandomize)
-    ->Arg(512)
-    ->Arg(1024)
-    ->Iterations(256)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_PaillierRerandomizeUnpooled(benchmark::State& state) {
-  const auto& key = key_for(static_cast<std::size_t>(state.range(0)));
-  hom::PaillierPublicKey pk = key.pub;
-  pk.pool = nullptr;
-  Rng rng(6);
-  const BigInt a = pk.encrypt(BigInt(7), rng);
-  for (auto _ : state) benchmark::DoNotOptimize(pk.rerandomize(a, rng));
-}
-BENCHMARK(BM_PaillierRerandomizeUnpooled)
     ->Arg(512)
     ->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
@@ -252,9 +215,6 @@ void BM_CounterAggregate(benchmark::State& state) {
   for (std::size_t s = 0; s < 5; ++s)
     counters.push_back(
         hom::make_counter(enc, layout, 100, 200, 1, shares[s], s, 3, rng));
-  // Six randomizers per iteration (one zero + five rerandomizations),
-  // precomputed outside the timed region. No-op for the plain backend.
-  ctx->prefill_randomizers(6 * state.max_iterations);
   for (auto _ : state) {
     hom::Cipher agg = eval.zero(layout.n_fields(), rng);
     for (const auto& c : counters) agg = eval.add(agg, eval.rerandomize(c, rng));
@@ -263,7 +223,6 @@ void BM_CounterAggregate(benchmark::State& state) {
 }
 BENCHMARK(BM_CounterAggregate<hom::Backend::kPlain>);
 BENCHMARK(BM_CounterAggregate<hom::Backend::kPaillier>)
-    ->Iterations(128)
     ->Unit(benchmark::kMicrosecond);
 
 // -- hom batch APIs over an executor --
@@ -297,7 +256,6 @@ void BM_BatchEncrypt(benchmark::State& state) {
   std::vector<std::vector<std::uint64_t>> items;
   for (std::size_t i = 0; i < kHomBatch; ++i)
     items.push_back({1000 + i});
-  ctx->prefill_randomizers(kHomBatch * state.max_iterations);
   for (auto _ : state)
     benchmark::DoNotOptimize(
         enc.encrypt_batch(items, rng, &executor_for(threads)));
@@ -310,7 +268,6 @@ BENCHMARK(BM_BatchEncrypt)
     ->Args({512, 4})
     ->Args({1024, 1})
     ->Args({1024, 4})
-    ->Iterations(16)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_BatchRerandomize(benchmark::State& state) {
@@ -325,7 +282,6 @@ void BM_BatchRerandomize(benchmark::State& state) {
   for (std::size_t i = 0; i < kHomBatch; ++i)
     ciphers.push_back(enc.encrypt_value(i + 1, rng));
   for (const auto& c : ciphers) ptrs.push_back(&c);
-  ctx->prefill_randomizers(kHomBatch * state.max_iterations);
   for (auto _ : state)
     benchmark::DoNotOptimize(
         eval.rerandomize_batch(ptrs, rng, &executor_for(threads)));
@@ -338,7 +294,6 @@ BENCHMARK(BM_BatchRerandomize)
     ->Args({512, 4})
     ->Args({1024, 1})
     ->Args({1024, 4})
-    ->Iterations(16)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_BatchDecrypt(benchmark::State& state) {

@@ -267,6 +267,9 @@ RunResult run_workload(const Workload& w, net::live::TransportKind kind,
   options.kind = kind;
   net::live::SocketTransport transport(options);
   sim::Engine engine;
+  // An open-loop generator can outrun dispatch until every message is
+  // pending at once; pre-size for that so the arena never demand-grows.
+  engine.reserve_events(total);
   sink.attach(engine);
   SinkEntity sink_entity;
   for (std::size_t i = 0; i < w.sinks; ++i)

@@ -173,8 +173,8 @@ class SecureResource : public sim::Entity {
   /// crypto-heavy body — counting, counter aggregation, SFE consults — is
   /// offloaded as one engine job so concurrent resources' steps overlap on
   /// executor workers. The job touches only this resource's entities plus
-  /// internally synchronized shared state (randomizer pool, obs counters,
-  /// the k-TTP monitor); all engine traffic happens in the returned Apply,
+  /// internally synchronized shared state (obs counters, the k-TTP
+  /// monitor); all engine traffic happens in the returned Apply,
   /// on the simulation thread, at the engine's virtual-time barrier.
   void step(sim::Engine& engine) {
     ++steps_;

@@ -28,9 +28,9 @@
 // Performance: aggregation chains many homomorphic adds/rerandomizations per
 // counter per round. Under the Paillier backend every Cipher carries a
 // Montgomery-form cache (hom.hpp), so a chained add costs two Montgomery
-// multiplications instead of four, and the rerandomizer's r^n factor comes
-// from the key's precompute pool (randomizer_pool.hpp) rather than an
-// inline modexp.
+// multiplications instead of four. Each rerandomization pays one
+// r^n modexp for its blinding factor, drawn from the caller's Rng; the
+// batch APIs run those modexps through the interleaved kernels.
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "crypto/packing.hpp"
-#include "crypto/randomizer_pool.hpp"
 #include "obs/crypto_counters.hpp"
 #include "sim/executor.hpp"
 #include "util/check.hpp"
@@ -38,8 +37,8 @@ void batch_for(sim::Executor* executor, std::size_t n, const Fn& fn) {
 
 /// One child Rng per item, split off in index order before any dispatch, so
 /// the parent's draw count and every child stream are thread-count-invariant.
-/// (Only the plain backend's salts read the children; Paillier blinding
-/// factors come from the key's RandomizerPool in take() order.)
+/// Item i's plain salt or Paillier blinding factor r_i^n is drawn from child
+/// i alone, which makes every batch result independent of the executor.
 std::vector<Rng> split_per_item(Rng& rng, std::size_t n) {
   std::vector<Rng> rngs;
   rngs.reserve(n);
@@ -128,11 +127,6 @@ ContextPtr Context::make_paillier(std::size_t n_bits, Rng& rng) {
   ctx->backend_ = Backend::kPaillier;
   ctx->key_ = paillier_keygen(n_bits, rng);
   return ctx;
-}
-
-void Context::prefill_randomizers(std::size_t count) const {
-  if (backend_ == Backend::kPaillier && key_.pub.pool)
-    key_.pub.pool->prefill(count);
 }
 
 std::size_t Context::max_fields() const {

@@ -282,11 +282,10 @@ class EncryptKey {
   /// across executor lanes. Randomness discipline (shared by every batch
   /// API): one child Rng is split off `rng` per item, in index order, before
   /// any work is dispatched, so the parent's draw count is a pure function
-  /// of the batch size. The plain backend salts from the child streams, so
-  /// its results are thread-count-invariant too. Paillier takes every
-  /// blinding factor from the key's RandomizerPool::take() stream instead
-  /// (paillier.hpp): its ciphertext bits depend on pool state and, with
-  /// several executor lanes, on which item draws which factor.
+  /// of the batch size. Every item's randomness comes from its own child:
+  /// the plain backend's salt, and Paillier's blinding factor r_i^n, whose
+  /// r_i is drawn from child i. Results are therefore bit-identical at any
+  /// executor width.
   std::vector<Cipher> encrypt_batch(
       std::span<const std::vector<std::uint64_t>> items, Rng& rng,
       sim::Executor* executor = nullptr) const;
@@ -324,11 +323,9 @@ class EvalHandle {
   Cipher rerandomize(const Cipher& a, Rng& rng) const;
 
   /// In-place `c = rerandomize(c, rng)`, minus the copy (for a plain
-  /// cipher, one salt write): the same draws from `rng` and, for a plain
-  /// cipher, the same result. A Paillier cipher takes its factor from the
-  /// key's RandomizerPool, so it matches rerandomize() only from the same
-  /// pool state. Used on the outgoing-message path, where the cipher was
-  /// just built and is never aliased.
+  /// cipher, one salt write): the same draws from `rng` and the same
+  /// result on either backend. Used on the outgoing-message path, where the
+  /// cipher was just built and is never aliased.
   void rerandomize_into(Cipher& c, Rng& rng) const;
 
   /// Enc(0) with `n_fields` zero fields, usable as an aggregation seed.
@@ -409,11 +406,6 @@ class Context : public std::enable_shared_from_this<Context> {
   EncryptKey encrypt_key() const { return EncryptKey(shared_from_this()); }
   EvalHandle eval_handle() const { return EvalHandle(shared_from_this()); }
   DecryptKey decrypt_key() const { return DecryptKey(shared_from_this()); }
-
-  /// Pre-generate `count` r^n randomizer factors into the key's pool
-  /// (randomizer_pool.hpp) — the idle-cycle precompute a deployment runs
-  /// between protocol rounds. No-op for the plain backend.
-  void prefill_randomizers(std::size_t count) const;
 
  private:
   friend class EncryptKey;

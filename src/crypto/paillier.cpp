@@ -1,6 +1,5 @@
 #include "crypto/paillier.hpp"
 
-#include "crypto/randomizer_pool.hpp"
 #include "obs/crypto_counters.hpp"
 #include "util/check.hpp"
 #include "wide/prime.hpp"
@@ -20,7 +19,6 @@ BigInt PaillierPublicKey::random_unit(Rng& rng) const {
 }
 
 Form PaillierPublicKey::randomizer_form(Rng& rng) const {
-  if (pool) return pool->take();
   return mont_n2->pow_form(mont_n2->to_form(random_unit(rng)), n);
 }
 
@@ -36,20 +34,13 @@ Form PaillierPublicKey::encrypt_form(const BigInt& m, Rng& rng) const {
   KGRID_CHECK(!m.is_negative() && m < n, "Paillier plaintext out of range");
   obs::crypto_counters().paillier_encrypts.inc();
   // (1 + m n) multiplied by r^n mod n^2; with m < n the product is already
-  // below n^2 (1 + mn <= n^2 - n + 1), so no reduction is needed. With a
-  // stocked pool this is two Montgomery multiplications and no modexp.
+  // below n^2 (1 + mn <= n^2 - n + 1), so no reduction is needed.
   const BigInt gm = BigInt(1) + m * n;
   return mont_n2->mul_form(mont_n2->to_form(gm), randomizer_form(rng));
 }
 
 std::vector<Form> PaillierPublicKey::randomizer_forms(std::size_t n_items,
                                                       std::span<Rng> rngs) const {
-  std::vector<Form> out;
-  out.reserve(n_items);
-  if (pool) {
-    for (std::size_t i = 0; i < n_items; ++i) out.push_back(pool->take());
-    return out;
-  }
   std::vector<Form> bases;
   bases.reserve(n_items);
   for (std::size_t i = 0; i < n_items; ++i)
@@ -223,11 +214,6 @@ PaillierPrivateKey paillier_keygen(std::size_t n_bits, Rng& rng) {
     key.hp = wide::mod_inverse((gp - BigInt(1)) / p, p);
     key.hq = wide::mod_inverse((gq - BigInt(1)) / q, q);
     key.q_inv_p = wide::mod_inverse(q, p);
-
-    // Seed the randomizer pool from the keygen rng so the whole ciphertext
-    // stream — pooled or not — is a deterministic function of the seed.
-    key.pub.pool = std::make_shared<RandomizerPool>(key.pub.n, key.pub.mont_n2,
-                                                    rng());
     return key;
   }
 }

@@ -21,18 +21,11 @@
 
 namespace kgrid::hom {
 
-class RandomizerPool;
-
 struct PaillierPublicKey {
   wide::BigInt n;
   wide::BigInt n2;
   // Montgomery context for the hot modulus n^2 (shared, immutable).
   std::shared_ptr<const wide::Montgomery> mont_n2;
-  // Precompute store of r^n factors (randomizer_pool.hpp); attached by
-  // paillier_keygen with a seed drawn from the keygen rng so ciphertext
-  // streams stay reproducible. When set, encrypt/rerandomize take their
-  // blinding factor from the pool instead of running an inline modexp.
-  std::shared_ptr<RandomizerPool> pool;
 
   std::size_t plaintext_bits() const { return n.bit_length(); }
 
@@ -76,16 +69,15 @@ struct PaillierPublicKey {
   wide::Montgomery::Form scalar_mul_form(const wide::BigInt& m,
                                          const wide::Montgomery::Form& ca) const;
 
-  /// Fresh randomization of a form: one multiplication by a (pooled) r^n.
+  /// Fresh randomization of a form: one multiplication by a fresh r^n.
   wide::Montgomery::Form rerandomize_form(const wide::Montgomery::Form& ca,
                                           Rng& rng) const;
 
   // Batch variants: the modexps and Montgomery multiplications of all items
   // run through wide::Montgomery's interleaved batch kernels (SIMD lanes in
-  // lockstep). Blinding factors come from the pool in index order when one
-  // is attached, else r_i is drawn from rngs[i] and the r_i^n are computed
-  // as one shared-exponent batch. Results are bit-identical to per-item
-  // calls fed the same factors.
+  // lockstep). r_i is drawn from rngs[i] and the r_i^n are computed as one
+  // shared-exponent batch, so results are bit-identical to per-item calls
+  // fed the same Rngs.
 
   /// Enc(ms[i]; fresh r) for every i, results in Montgomery form.
   std::vector<wide::Montgomery::Form> encrypt_form_batch(
@@ -97,11 +89,10 @@ struct PaillierPublicKey {
 
  private:
   wide::BigInt random_unit(Rng& rng) const;
-  /// A fresh r^n factor in Montgomery form — pool hit when one is stocked,
-  /// inline generation (drawing from `rng`) otherwise.
+  /// A fresh r^n factor in Montgomery form, r drawn from `rng`.
   wide::Montgomery::Form randomizer_form(Rng& rng) const;
-  /// n fresh r^n factors: pool takes in index order, or one interleaved
-  /// batch exponentiation drawing r_i from rngs[i].
+  /// n fresh r^n factors through one interleaved batch exponentiation,
+  /// r_i drawn from rngs[i].
   std::vector<wide::Montgomery::Form> randomizer_forms(std::size_t n,
                                                        std::span<Rng> rngs) const;
 };

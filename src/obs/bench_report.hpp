@@ -270,13 +270,6 @@ inline std::string validate_bench_json(const Json& j) {
       return std::string("crypto.paillier.") + key +
              " missing or not a number";
   }
-  const Json* pool = crypto->find("pool");
-  if (pool == nullptr || !pool->is_object()) return "missing crypto.pool";
-  for (const char* key : {"hits", "misses", "prefilled", "batch_refills"}) {
-    const Json* v = pool->find(key);
-    if (v == nullptr || !v->is_number())
-      return std::string("crypto.pool.") + key + " missing or not a number";
-  }
 
   // "net" is optional (absent from pure-sim artifacts), but when a live
   // transport reported it must carry the full net.live counter set

@@ -48,12 +48,13 @@ struct CryptoCounters {
                              // interleaved fixed-width batch kernels
   Counter mont_muls;         // Montgomery::mul / mul_form[_into] (homomorphic-add cost)
 
-  // randomizer pool (hom::RandomizerPool — precomputed r^n mod n^2 factors)
-  Counter pool_hits;           // take() served from precomputed stock
-  Counter pool_misses;         // take() computed inline (stock empty)
-  Counter pool_prefills;       // factors generated by prefill() (amortized work)
-  Counter pool_batch_refills;  // prefill() calls that went through the
-                               // batch exponentiation kernels
+  // Retired: nothing increments these two, and to_json() omits them. Every
+  // blinding factor is now drawn from the caller's Rng (paillier.hpp), so
+  // there is no randomizer precompute left to hit or miss. They remain only
+  // because gridbench/gridbench.cpp still reads them for its
+  // `crypto.pool.hit_ratio` metric; both go when that metric is retired.
+  Counter pool_hits;
+  Counter pool_misses;
 
   void reset() {
     hom_encrypts.reset();
@@ -71,8 +72,6 @@ struct CryptoCounters {
     mont_muls.reset();
     pool_hits.reset();
     pool_misses.reset();
-    pool_prefills.reset();
-    pool_batch_refills.reset();
   }
 
   Json to_json() const {
@@ -91,15 +90,9 @@ struct CryptoCounters {
     paillier.set("windowed_modexps", windowed_modexps.value());
     paillier.set("batch_modexps", batch_modexps.value());
     paillier.set("mont_muls", mont_muls.value());
-    Json pool = Json::object();
-    pool.set("hits", pool_hits.value());
-    pool.set("misses", pool_misses.value());
-    pool.set("prefilled", pool_prefills.value());
-    pool.set("batch_refills", pool_batch_refills.value());
     Json j = Json::object();
     j.set("hom", std::move(hom));
     j.set("paillier", std::move(paillier));
-    j.set("pool", std::move(pool));
     return j;
   }
 };

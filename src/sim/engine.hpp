@@ -115,6 +115,17 @@ class EventTap {
   virtual void on_push(const EventRecord& record) { (void)record; }
   /// An event was popped for dispatch — the (time, seq)-ordered stream.
   virtual void on_dispatch(const EventRecord& record) { (void)record; }
+  /// A message is about to reach its recipient's handler. Unlike the hooks
+  /// above, this one runs where the handler runs: on the simulation thread
+  /// in plain and live mode, but on the recipient's shard lane in sharded
+  /// mode, concurrently with the other lanes. Lanes own disjoint
+  /// recipients, so a tap that writes only state kept per `to` needs no
+  /// locking; per recipient, calls arrive in dispatch order.
+  virtual void on_message(EntityId from, EntityId to, const Payload& payload) {
+    (void)from;
+    (void)to;
+    (void)payload;
+  }
 };
 
 /// Message carrier for live mode (net/live/transport.hpp; handbook:
@@ -475,6 +486,7 @@ class Engine {
       with_metrics([&](EngineMetrics& m) {
         m.on_deliver(kinds_[ev.to], ev.payload->type(), ev.time - ev.sent_at);
       });
+      if (tap_ != nullptr) tap_->on_message(ev.from, ev.to, *ev.payload);
       target->on_message(*this, ev.from, *ev.payload);
     } else {
       with_metrics([&](EngineMetrics& m) { m.on_timer_fired(kinds_[ev.to]); });
@@ -762,8 +774,8 @@ class Engine {
   }
 
   /// One event of a lane's window: pop, log, advance lane time, dispatch.
-  /// No tap, no metrics, no shared counters — all of that is replayed in
-  /// merged order at the barrier.
+  /// No metrics, no shared counters, and no tap beyond the per-recipient
+  /// on_message — the rest is replayed in merged order at the barrier.
   void lane_step(Lane& lane) {
     const EventQueue::Popped ev = lane.queue.pop();
     lane.dispatch_log.push_back(LaneDispatch{
@@ -774,10 +786,12 @@ class Engine {
     const std::size_t entry = lane.dispatch_log.size() - 1;
     lane.now = ev.time;
     Entity* target = entities_[ev.to];
-    if (ev.kind == EventKind::kMessage)
+    if (ev.kind == EventKind::kMessage) {
+      if (tap_ != nullptr) tap_->on_message(ev.from, ev.to, *ev.payload);
       target->on_message(*this, ev.from, *ev.payload);
-    else
+    } else {
       target->on_timer(*this, ev.timer_id);
+    }
     lane.dispatch_log[entry].push_end =
         static_cast<std::uint32_t>(lane.push_log.size());
     lane.dispatch_log[entry].offload_end =

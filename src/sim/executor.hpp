@@ -11,9 +11,8 @@
 // Determinism contract (docs/ARCHITECTURE.md, "Determinism"):
 //   * Jobs are pure with respect to shared mutable state: they may touch
 //     their own entity, immutable context (keys, Montgomery tables,
-//     topology), and internally synchronized sinks (obs counters, the
-//     randomizer pool). Nothing a job computes may depend on the order in
-//     which other jobs run.
+//     topology), and internally synchronized sinks (obs counters). Nothing
+//     a job computes may depend on the order in which other jobs run.
 //   * Results are applied on the simulation thread only, in submission
 //     order, at engine barriers that are themselves a pure function of the
 //     event queue. Thread count therefore changes wall-clock time and

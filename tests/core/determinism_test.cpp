@@ -53,10 +53,11 @@ TEST(Determinism, EventDrivenInvariantAcrossThreadCounts) {
 }
 
 TEST(Determinism, PaillierBackendInvariantAcrossThreadCounts) {
-  // Real Paillier on a deliberately tiny grid: ciphertext bits differ
-  // between runs at threads > 1 (randomizer-pool take() order is
-  // schedule-dependent), but the fingerprint only captures plaintext
-  // protocol state, which the determinism contract guarantees.
+  // Real Paillier on a deliberately tiny grid. Every blinding factor comes
+  // from a seeded Rng stream, so beyond the plaintext fingerprint the
+  // ciphertext bits themselves must match: at every executor width, and at
+  // every shard count (each recipient sees the same cipher sequence even
+  // though the sharded schedule family orders events differently).
   core::SecureGridConfig cfg;
   cfg.env.n_resources = 3;
   cfg.env.seed = 13;
@@ -70,10 +71,34 @@ TEST(Determinism, PaillierBackendInvariantAcrossThreadCounts) {
   cfg.backend = hom::Backend::kPaillier;
   cfg.paillier_bits = 512;
 
-  const std::string reference = run_fingerprint(cfg, 1, 8);
-  for (const std::size_t threads : {2u, 8u})
-    EXPECT_EQ(run_fingerprint(cfg, threads, 8), reference)
-        << "threads=" << threads;
+  struct Run {
+    std::string fingerprint;
+    std::uint64_t cipher_hash = 0;
+    std::uint64_t ciphers = 0;
+  };
+  const auto run = [&cfg](std::size_t threads, int shards) {
+    test::CipherHasher hasher;
+    core::SecureGridConfig c = cfg;
+    c.threads = threads;
+    c.shards = shards;
+    c.trace = &hasher;
+    core::SecureGrid grid(c);
+    grid.run_steps(8);
+    return Run{test::grid_fingerprint(grid), hasher.cipher_hash(),
+               hasher.ciphers()};
+  };
+
+  const Run reference = run(1, 0);
+  EXPECT_GT(reference.ciphers, 0u);
+  const std::pair<std::size_t, int> configs[] = {{2, 0}, {8, 0}, {2, 1},
+                                                 {2, 4}};
+  for (const auto& [threads, shards] : configs) {
+    const Run r = run(threads, shards);
+    EXPECT_EQ(r.fingerprint, reference.fingerprint)
+        << "threads=" << threads << " shards=" << shards;
+    EXPECT_EQ(r.cipher_hash, reference.cipher_hash)
+        << "threads=" << threads << " shards=" << shards;
+  }
 }
 
 TEST(Determinism, AttackDetectionInvariantAcrossThreadCounts) {

@@ -23,27 +23,6 @@ class HomBackendTest : public ::testing::TestWithParam<Backend> {
                                          : Context::make_paillier(512, rng_);
   }
 
-  /// A fresh context with ctx_'s keys. Paillier draws its randomizers from
-  /// a per-key pool rather than the caller's Rng, so two op sequences are
-  /// comparable bit for bit only when each starts from a pool in the same
-  /// state: run one on each twin, with inputs passed through reload().
-  ContextPtr twin() const {
-    Rng key_rng(99);
-    return GetParam() == Backend::kPlain ? Context::make_plain()
-                                         : Context::make_paillier(512, key_rng);
-  }
-
-  /// The same ciphertext without its cached Montgomery form, which belongs
-  /// to the context that built it and so cannot cross into a twin.
-  static Cipher reload(const Cipher& c) {
-    util::ByteWriter w;
-    encode_cipher(w, c);
-    util::ByteReader r(w.bytes());
-    Cipher out;
-    EXPECT_TRUE(decode_cipher(r, &out));
-    return out;
-  }
-
   Rng rng_;
   ContextPtr ctx_;
 };
@@ -174,11 +153,10 @@ TEST_P(HomBackendTest, RerandomizeIntoMatchesRerandomize) {
       ctx_->encrypt_key().encrypt(std::vector<std::uint64_t>{7, 11}, rng_);
   Rng r1(2024);
   Rng r2(2024);
-  const ContextPtr ctx1 = twin();
-  const ContextPtr ctx2 = twin();
-  Cipher c = reload(a);
-  ctx1->eval_handle().rerandomize_into(c, r1);
-  EXPECT_EQ(c, ctx2->eval_handle().rerandomize(reload(a), r2));
+  const auto eval = ctx_->eval_handle();
+  Cipher c = a;
+  eval.rerandomize_into(c, r1);
+  EXPECT_EQ(c, eval.rerandomize(a, r2));
   EXPECT_NE(c, a);
   EXPECT_EQ(r1(), r2());  // same number of draws from the Rng
 }
@@ -189,24 +167,19 @@ TEST_P(HomBackendTest, AggregateRerandomizedEqualsBatchThenFold) {
   const Cipher b = enc.encrypt(std::vector<std::uint64_t>{40}, rng_);
   const Cipher c = enc.encrypt(std::vector<std::uint64_t>{500, 600}, rng_);
   // `a` twice: a double-counting broker batches one contribution twice.
-  const Cipher a1 = reload(a), b1 = reload(b), c1 = reload(c);
-  const Cipher a2 = reload(a), b2 = reload(b), c2 = reload(c);
-  const std::vector<const Cipher*> items1 = {&a1, &b1, &a1, &c1};
-  const std::vector<const Cipher*> items2 = {&a2, &b2, &a2, &c2};
+  const std::vector<const Cipher*> items = {&a, &b, &a, &c};
 
   Rng r1(77);
   Rng r2(77);
-  const ContextPtr ctx1 = twin();
+  const auto eval = ctx_->eval_handle();
   const auto t0 = hom_op_counts();
-  const Cipher fused = ctx1->eval_handle().aggregate_rerandomized(items1, r1);
+  const Cipher fused = eval.aggregate_rerandomized(items, r1);
   const auto fused_ops = counts_since(t0);
 
-  const ContextPtr ctx2 = twin();
-  const auto eval2 = ctx2->eval_handle();
   const auto t1 = hom_op_counts();
-  const std::vector<Cipher> fresh = eval2.rerandomize_batch(items2, r2);
+  const std::vector<Cipher> fresh = eval.rerandomize_batch(items, r2);
   Cipher fold = fresh[0];
-  for (std::size_t i = 1; i < fresh.size(); ++i) fold = eval2.add(fold, fresh[i]);
+  for (std::size_t i = 1; i < fresh.size(); ++i) fold = eval.add(fold, fresh[i]);
   const auto unfused_ops = counts_since(t1);
 
   EXPECT_EQ(fused, fold);

@@ -185,12 +185,11 @@ TEST(PaillierBatch, DecryptBatchFallsBackForSmallKeys) {
 }
 
 // encrypt_form_batch must be bit-identical to per-item encrypt_form fed the
-// same randomizer stream: drain the pool first so both sides draw inline
-// r's from per-item rngs with matched seeds.
+// same randomizer stream: both sides draw r_i from per-item rngs with
+// matched seeds.
 TEST(PaillierBatch, EncryptFormBatchMatchesPerItem) {
   Rng rng(4242);
-  PaillierPrivateKey key = paillier_keygen(512, rng);
-  key.pub.pool = nullptr;  // inline randomizers: determinism comes from rngs
+  const PaillierPrivateKey key = paillier_keygen(512, rng);
   const std::size_t n = 6;
   std::vector<BigInt> ms;
   std::vector<Rng> batch_rngs, item_rngs;
@@ -231,6 +230,46 @@ TEST(PaillierBatch, RerandomizeFormBatchPreservesPlaintexts) {
     EXPECT_NE(key.pub.from_form(fresh[i]), key.pub.from_form(cas[i]));
     EXPECT_EQ(key.decrypt(key.pub.from_form(fresh[i])), ms[i]);
   }
+}
+
+// Every *_form operation matches its BigInt-level equivalent.
+TEST(PaillierForms, FormOpsMatchBigIntOps) {
+  for (const std::uint64_t seed : {11u, 222u, 3333u}) {
+    Rng rng(seed);
+    const PaillierPrivateKey key = paillier_keygen(256, rng);
+    const PaillierPublicKey& pk = key.pub;
+    const BigInt ca = pk.encrypt(BigInt(1234), rng);
+    const BigInt cb = pk.encrypt(BigInt(55), rng);
+    const auto fa = pk.to_form(ca);
+    const auto fb = pk.to_form(cb);
+
+    EXPECT_EQ(pk.from_form(fa), ca);
+    EXPECT_EQ(pk.from_form(pk.add_form(fa, fb)), pk.add(ca, cb));
+    EXPECT_EQ(pk.from_form(pk.sub_form(fa, fb)), pk.sub(ca, cb));
+    EXPECT_EQ(pk.from_form(pk.scalar_mul_form(BigInt(10007), fa)),
+              pk.scalar_mul(BigInt(10007), ca));
+    EXPECT_EQ(pk.from_form(pk.scalar_mul_form(BigInt(0), fa)),
+              pk.scalar_mul(BigInt(0), ca));
+
+    // Rerandomization draws fresh randomness, so compare plaintexts only.
+    const BigInt cr = pk.from_form(pk.rerandomize_form(fa, rng));
+    EXPECT_NE(cr, ca);
+    EXPECT_EQ(key.decrypt(cr), key.decrypt(ca));
+  }
+}
+
+TEST(PaillierForms, EncryptFormDecryptsAndSubHandlesNegatives) {
+  Rng rng(31);
+  const PaillierPrivateKey key = paillier_keygen(256, rng);
+  const PaillierPublicKey& pk = key.pub;
+
+  const BigInt c = pk.from_form(pk.encrypt_form(BigInt(424242), rng));
+  EXPECT_EQ(key.decrypt(c).to_u64(), 424242u);
+
+  // sub via ciphertext inverse: Enc(3) - Enc(10) reads back as -7.
+  const BigInt ca = pk.encrypt(BigInt(3), rng);
+  const BigInt cb = pk.encrypt(BigInt(10), rng);
+  EXPECT_EQ(key.decrypt_signed(pk.sub(ca, cb)).to_i64(), -7);
 }
 
 }  // namespace

@@ -41,10 +41,11 @@ struct OracleRun {
   std::uint64_t dispatched = 0;
   std::string fingerprint;
   double quarantine = 0.0;
+  std::uint64_t cipher_hash = 0;
 };
 
 OracleRun run_sim(const core::SecureGridConfig& base, std::size_t steps) {
-  sim::ScheduleHasher hasher;
+  test::CipherHasher hasher;
   core::SecureGridConfig cfg = base;
   cfg.trace = &hasher;
   // LiveGrid always runs the plain engine, so the oracle must too: a
@@ -54,12 +55,12 @@ OracleRun run_sim(const core::SecureGridConfig& base, std::size_t steps) {
   core::SecureGrid grid(cfg);
   grid.run_steps(steps);
   return {hasher.hash(), hasher.dispatched(), test::grid_fingerprint(grid),
-          grid.quarantine_coverage(2)};
+          grid.quarantine_coverage(2), hasher.cipher_hash()};
 }
 
 OracleRun run_live(const core::SecureGridConfig& base, std::size_t steps,
                    net::live::TransportKind kind) {
-  sim::ScheduleHasher hasher;
+  test::CipherHasher hasher;
   core::SecureGridConfig cfg = base;
   cfg.trace = &hasher;
   net::live::SocketTransport::Options options;
@@ -76,7 +77,7 @@ OracleRun run_live(const core::SecureGridConfig& base, std::size_t steps,
             live.transport().stats().bytes_out);
   return {hasher.hash(), hasher.dispatched(),
           test::grid_fingerprint(live.grid()),
-          live.grid().quarantine_coverage(2)};
+          live.grid().quarantine_coverage(2), hasher.cipher_hash()};
 }
 
 TEST(LiveOracle, UdsMatchesSimExactly) {
@@ -152,12 +153,18 @@ TEST(LiveOracle, PaillierTrafficRidesTheWire) {
   cfg.secure.arrivals_per_step = 0;
   cfg.backend = hom::Backend::kPaillier;
   cfg.paillier_bits = 512;
-  cfg.threads = 1;  // ciphertext bits are schedule-dependent at threads > 1
+  cfg.threads = 4;  // ciphertexts are a pure function of the seeds at any width
 
   const OracleRun sim = run_sim(cfg, 8);
   const OracleRun uds = run_live(cfg, 8, net::live::TransportKind::kUds);
+  const OracleRun tcp = run_live(cfg, 8, net::live::TransportKind::kTcp);
   EXPECT_EQ(uds.schedule_hash, sim.schedule_hash);
   EXPECT_EQ(uds.fingerprint, sim.fingerprint);
+  EXPECT_EQ(tcp.schedule_hash, sim.schedule_hash);
+  EXPECT_EQ(tcp.fingerprint, sim.fingerprint);
+  // Every delivered ciphertext is bit-identical on all three carriers.
+  EXPECT_EQ(uds.cipher_hash, sim.cipher_hash);
+  EXPECT_EQ(tcp.cipher_hash, sim.cipher_hash);
 }
 
 TEST(LiveOracle, BackpressureStallsStillDeliverEverything) {

@@ -3,24 +3,30 @@
 // Standalone binary (no gtest) so it can be built under ThreadSanitizer
 // without requiring a TSan-instrumented gtest: CI compiles exactly this
 // target with -fsanitize=thread and runs it to race-check the executor,
-// the engine barrier, and the crypto-counter/randomizer-pool style of
-// shared sinks it exercises.
+// the engine barrier, the relaxed-atomic crypto counters, and the Paillier
+// batch paths, whose lanes share only immutable key material.
 //
 // The scenario: entities offload jobs whose compute time is an adversarial
 // function of submission index (late submissions finish first), while a
 // parallel_for hammers a shared relaxed-atomic accumulator from the
 // simulation thread. Correctness = applies observed in submission order at
 // every barrier, every index covered exactly once, and a final state that
-// is a pure function of the inputs regardless of thread count.
+// is a pure function of the inputs regardless of thread count. Paillier
+// encrypt_batch/rerandomize_batch on several lanes must produce the same
+// ciphertext bytes as the inline run.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "crypto/hom.hpp"
 #include "sim/engine.hpp"
 #include "sim/executor.hpp"
+#include "util/bytes.hpp"
+#include "util/rng.hpp"
 
 using namespace kgrid;
 
@@ -116,6 +122,27 @@ void stress_mixed(std::size_t threads) {
     check(order[i] == static_cast<int>(i + 1), "mixed applies ordered");
 }
 
+/// encrypt_batch then rerandomize_batch (one item listed twice, as a
+/// double-counting broker sends it) on `threads` lanes; returns the
+/// encode_cipher bytes of every result.
+std::string paillier_batches(const hom::ContextPtr& ctx, std::size_t threads) {
+  sim::Executor exec(threads);
+  std::vector<std::vector<std::uint64_t>> items;
+  for (std::uint64_t i = 0; i < 40; ++i) items.push_back({i, 3 * i + 1});
+  Rng rng(7);
+  const std::vector<hom::Cipher> fresh =
+      ctx->encrypt_key().encrypt_batch(items, rng, &exec);
+  std::vector<const hom::Cipher*> ptrs;
+  for (const hom::Cipher& c : fresh) ptrs.push_back(&c);
+  ptrs.push_back(&fresh[0]);
+  const std::vector<hom::Cipher> again =
+      ctx->eval_handle().rerandomize_batch(ptrs, rng, &exec);
+  util::ByteWriter w;
+  for (const hom::Cipher& c : fresh) hom::encode_cipher(w, c);
+  for (const hom::Cipher& c : again) hom::encode_cipher(w, c);
+  return w.bytes();
+}
+
 }  // namespace
 
 int main() {
@@ -124,6 +151,10 @@ int main() {
     stress_parallel_for(threads);
     stress_mixed(threads);
   }
+  Rng key_rng(2024);
+  const hom::ContextPtr ctx = hom::Context::make_paillier(256, key_rng);
+  check(paillier_batches(ctx, 4) == paillier_batches(ctx, 1),
+        "Paillier batch ciphertexts identical at 4 lanes and inline");
   if (failures == 0) std::printf("executor_stress: all checks passed\n");
   return failures == 0 ? 0 : 1;
 }

@@ -21,7 +21,10 @@ exempt.
 And, over EXPERIMENTS.md's live throughput table (the `| workload | frame
 | msgs/s | ...` table): every row's msgs/s cell equals the committed
 BENCH_live_throughput.json rate of that workload, rounded to the precision
-the cell prints (`1.28 M/s` must be 1.275M..1.285M).
+the cell prints (`1.28 M/s` must be 1.275M..1.285M). Likewise its current
+crypto costs table (`| crypto_micro row | CPU time per op |`): every row's
+time equals that row's `cpu_time` in BENCH_crypto_micro.json at the printed
+unit and precision (`3005 µs` must be 3004.5..3005.5 µs).
 
 Exit status is the number of problems (0 = clean). No third-party
 dependencies; stdlib only, so the CI step is one `python3 tools/docs_lint.py`.
@@ -112,6 +115,21 @@ def lint_flags(path: Path) -> list:
     return errors
 
 
+def table_rows(path: Path, header: str):
+    """The cell lists of the markdown table under `header`, or None when
+    the file has no such table."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if header not in lines:
+        return None
+    rows = []
+    for line in lines[lines.index(header) + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append(
+            [c.strip() for c in CELL_SPLIT_RE.split(line.strip().strip("|"))])
+    return rows
+
+
 LIVE_TABLE_HEADER = "| workload | frame | msgs/s | MB/s | p50 | p99 | p999 |"
 RATE_RE = re.compile(r"([0-9]+(?:\.([0-9]+))?)\s*([kM]?)/s")
 RATE_SCALE = {"": 1.0, "k": 1e3, "M": 1e6}
@@ -120,20 +138,17 @@ RATE_SCALE = {"": 1.0, "k": 1e3, "M": 1e6}
 def lint_live_table(path: Path, artifact: Path) -> list:
     """The live throughput table's msgs/s cells match the artifact."""
     where = path.relative_to(ROOT)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if LIVE_TABLE_HEADER not in lines:
+    rows = table_rows(path, LIVE_TABLE_HEADER)
+    if rows is None:
         return [f"{where}: live throughput table not found"]
     rates = {row["workload"]: row["msgs_per_s"] for row in
              json.loads(artifact.read_text(encoding="utf-8"))["series"]}
     errors = []
-    for line in lines[lines.index(LIVE_TABLE_HEADER) + 2:]:
-        if not line.startswith("|"):
-            break
-        cells = [c.strip() for c in CELL_SPLIT_RE.split(line.strip().strip("|"))]
+    for cells in rows:
         workload = re.search(r"`([^`]+)`", cells[0])
         rate = RATE_RE.search(cells[2])
         if workload is None or rate is None:
-            errors.append(f"{where}: unparsable live table row: {line}")
+            errors.append(f"{where}: unparsable live table row: {cells}")
             continue
         name = workload.group(1)
         if name not in rates:
@@ -146,6 +161,42 @@ def lint_live_table(path: Path, artifact: Path) -> list:
             errors.append(f"{where}: live table says {name} runs at "
                           f"{rate.group(0)}, {artifact.name} says "
                           f"{measured:.{decimals}f} {rate.group(3)}/s")
+    return errors
+
+
+CRYPTO_TABLE_HEADER = "| crypto_micro row | CPU time per op |"
+TIME_RE = re.compile(r"([0-9]+(?:\.([0-9]+))?)\s*(ns|µs|ms|s)(?![a-z])")
+TIME_SCALE = {"ns": 1e-9, "us": 1e-6, "µs": 1e-6, "ms": 1e-3, "s": 1.0}
+
+
+def lint_crypto_table(path: Path, artifact: Path) -> list:
+    """The current crypto costs table's CPU times match the artifact."""
+    where = path.relative_to(ROOT)
+    rows = table_rows(path, CRYPTO_TABLE_HEADER)
+    if rows is None:
+        return [f"{where}: crypto costs table not found"]
+    seconds = {row["name"]: row["cpu_time"] * TIME_SCALE[row["time_unit"]]
+               for row in
+               json.loads(artifact.read_text(encoding="utf-8"))["series"]}
+    errors = []
+    for cells in rows:
+        bench = re.search(r"`([^`]+)`", cells[0])
+        time = TIME_RE.search(cells[1])
+        if bench is None or time is None:
+            errors.append(f"{where}: unparsable crypto table row: {cells}")
+            continue
+        name = bench.group(1)
+        if name not in seconds:
+            errors.append(f"{where}: crypto table row {name} is not in "
+                          f"{artifact.name}")
+            continue
+        decimals = len(time.group(2) or "")
+        unit = time.group(3)
+        measured = round(seconds[name] / TIME_SCALE[unit], decimals)
+        if measured != float(time.group(1)):
+            errors.append(f"{where}: crypto table says {name} takes "
+                          f"{time.group(0)}, {artifact.name} says "
+                          f"{measured:.{decimals}f} {unit}")
     return errors
 
 
@@ -163,6 +214,8 @@ def main() -> int:
     errors.extend(lint_flags(ROOT / "docs" / "BENCHMARKS.md"))
     errors.extend(lint_live_table(ROOT / "EXPERIMENTS.md",
                                   ROOT / "BENCH_live_throughput.json"))
+    errors.extend(lint_crypto_table(ROOT / "EXPERIMENTS.md",
+                                    ROOT / "BENCH_crypto_micro.json"))
     for e in errors:
         print(e, file=sys.stderr)
     print(f"docs_lint: {len(files)} files, {len(errors)} problem(s)")
